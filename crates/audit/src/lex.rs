@@ -91,9 +91,8 @@ impl Lexed {
     }
 }
 
-/// Extracts audit waiver codes from one comment body. The xtask unwrap
-/// ratchet's `lint:allow(unwrap)` marker doubles as an SA006 waiver so
-/// one annotation serves both tools.
+/// Extracts audit waiver codes from one comment body. A
+/// `lint:allow(unwrap)` marker is accepted as an SA006 waiver too.
 fn parse_waiver(comment: &str) -> Option<Vec<String>> {
     if let Some(idx) = comment.find("audit:allow(") {
         let rest = &comment[idx + "audit:allow(".len()..];

@@ -2,13 +2,14 @@
 //! macros in non-test code, with module-aware severity. In code that
 //! runs on the `sim-scheduler` thread or the serve worker pool — where a
 //! panic orphans dedup slots or kills a pool worker — they are errors;
-//! everywhere else they are warnings feeding the (now empty) unwrap
-//! ratchet. Indexing expressions in scheduler-context files are also
-//! surfaced as warnings, since `v[i]` panics are the same hazard in
-//! quieter clothing.
+//! everywhere else they are warnings (clippy's `unwrap_used` /
+//! `expect_used` lints, denied in CI, keep `unwrap`/`expect` out of
+//! non-test code altogether). Indexing expressions in scheduler-context
+//! files are also surfaced as warnings, since `v[i]` panics are the same
+//! hazard in quieter clothing.
 //!
-//! `// lint:allow(unwrap) reason` waivers (shared with the xtask
-//! ratchet) and `// audit:allow(SA006) reason` both suppress findings.
+//! `// lint:allow(unwrap) reason` and `// audit:allow(SA006) reason`
+//! waivers both suppress findings.
 
 use stacksim_lint::{Report, Severity};
 

@@ -63,8 +63,9 @@ fn ablate_resistor() {
     let cfg = SolverConfig::builder().nx(20).ny(17).build();
     let power = cpu.power_grid(cfg.nx, cfg.ny);
     let stack = stacksim_thermal::LayerStack::planar(cpu.width(), cpu.height(), power.clone());
-    let fv = stacksim_thermal::solve(&stack, Boundary::desktop(), cfg)
+    let fv = stacksim_thermal::solve_with_stats(&stack, Boundary::desktop(), cfg)
         .unwrap()
+        .field
         .peak();
     let r1d = ResistorStack::new(&stack, Boundary::desktop());
     let active = stack.layer_index("active 1").unwrap();

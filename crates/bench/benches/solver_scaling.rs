@@ -3,7 +3,7 @@
 
 use stacksim_bench::timing::{bench, group};
 use stacksim_floorplan::core2::core2_duo_92w;
-use stacksim_thermal::{solve, Boundary, LayerStack, SolverConfig};
+use stacksim_thermal::{solve_with_stats, Boundary, LayerStack, SolverConfig};
 
 fn main() {
     let cpu = core2_duo_92w();
@@ -14,7 +14,7 @@ fn main() {
         let power = cpu.power_grid(nx, ny);
         let stack = LayerStack::planar(cpu.width(), cpu.height(), power);
         bench(&format!("solver_resolution/{nx}x{ny}"), || {
-            solve(&stack, Boundary::desktop(), cfg).unwrap()
+            solve_with_stats(&stack, Boundary::desktop(), cfg).unwrap()
         });
     }
 }

@@ -4,8 +4,8 @@
 use stacksim_bench::timing::{bench, group};
 use stacksim_floorplan::core2::core2_duo_92w;
 use stacksim_floorplan::uniform_die;
-use stacksim_thermal::sweep::conductivity_sweep;
-use stacksim_thermal::{solve, Boundary, LayerStack, SolverConfig};
+use stacksim_thermal::sweep::conductivity_sweep_stats;
+use stacksim_thermal::{solve_with_stats, Boundary, LayerStack, SolverConfig};
 
 fn small_cfg() -> SolverConfig {
     SolverConfig::builder().nx(20).ny(17).build()
@@ -23,13 +23,13 @@ fn main() {
     group("thermal_solve");
     for (name, stack) in [("planar", &planar), ("two_die", &stacked)] {
         bench(&format!("thermal_solve/{name}"), || {
-            solve(stack, Boundary::desktop(), cfg).unwrap()
+            solve_with_stats(stack, Boundary::desktop(), cfg).unwrap()
         });
     }
 
     group("fig3_sweep");
     bench("fig3_sweep_3pt", || {
-        conductivity_sweep(
+        conductivity_sweep_stats(
             &stacked,
             "bond",
             &[60.0, 12.0, 3.0],

@@ -1,37 +1,5 @@
-//! Shared helpers for the figure/table regenerator binaries and the
-//! dependency-free benches under `benches/`.
-
-use stacksim_core::TextTable;
+//! The `stacksim bench` performance harness ([`perf`]) and the timing
+//! helpers shared with the dependency-free benches under `benches/`.
 
 pub mod perf;
 pub mod timing;
-
-/// Prints a standard banner naming the artefact being regenerated.
-pub fn banner(artefact: &str, paper_ref: &str) {
-    println!("== {artefact} ==");
-    println!("   reproduces: {paper_ref}");
-    println!();
-}
-
-/// Prints a rendered table followed by its CSV form when `--csv` was
-/// passed on the command line.
-pub fn emit(table: &TextTable) {
-    println!("{}", table.render());
-    if std::env::args().any(|a| a == "--csv") {
-        println!("CSV:");
-        println!("{}", table.to_csv());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn emit_renders_without_panicking() {
-        let mut t = TextTable::new(["a", "b"]);
-        t.row(["1", "2"]);
-        emit(&t);
-        banner("Test", "nothing");
-    }
-}

@@ -1,8 +1,10 @@
-//! Text rendering of artifacts — the presentation layer shared by the
-//! `stacksim` CLI and the per-figure regenerator binaries.
+//! Text rendering of artifacts — the presentation layer behind
+//! `stacksim run <name> --show`.
 
 use std::fmt::Write as _;
 
+use stacksim_floorplan::p4::pentium4_147w;
+use stacksim_floorplan::wire::fig9_paths;
 use stacksim_floorplan::PowerGrid;
 use stacksim_thermal::TemperatureField;
 
@@ -62,7 +64,9 @@ pub fn render(artifact: &Artifact) -> String {
                     format!("{:+.2}", p.peak_c - base),
                 ]);
             }
-            let mut out = t.render();
+            let mut out = fig7_options();
+            out.push('\n');
+            out.push_str(&t.render());
             if let Some(p32) = points.get(2) {
                 out.push_str("\n3D 32MB CPU-die thermal map (Fig. 8b), '@' = hottest:\n");
                 out.push_str(&thermal_map(&p32.field, "active 1"));
@@ -70,6 +74,8 @@ pub fn render(artifact: &Artifact) -> String {
             out
         }
         Artifact::Fig11(points) => {
+            let mut out = fig9_10_floorplans();
+            out.push('\n');
             let mut t = TextTable::new([
                 "configuration",
                 "power W",
@@ -84,7 +90,8 @@ pub fn render(artifact: &Artifact) -> String {
                     fmt_f(p.paper_c, 2),
                 ]);
             }
-            t.render()
+            out.push_str(&t.render());
+            out
         }
         Artifact::Table4(t4) => {
             let mut t =
@@ -154,6 +161,69 @@ pub fn render(artifact: &Artifact) -> String {
             t.render()
         }
     }
+}
+
+/// The Fig. 7 option table: each stacking option's LLC and power budget.
+/// Static configuration, not an experiment result.
+fn fig7_options() -> String {
+    let mut t = TextTable::new(["option", "LLC", "CPU die W", "stacked die W", "total W"]);
+    for o in StackOption::all() {
+        t.row([
+            o.label().to_string(),
+            format!("{} MB", o.capacity_mb()),
+            fmt_f(o.cpu_floorplan().total_power(), 1),
+            fmt_f(o.stacked_die_power(), 1),
+            fmt_f(o.total_power(), 1),
+        ]);
+    }
+    format!("Fig. 7 stacking options:\n{}", t.render())
+}
+
+/// The Fig. 9/10 floorplan summary: the planar P4-class core, its
+/// critical wire routes, and the two-die fold. Static geometry, not an
+/// experiment result.
+fn fig9_10_floorplans() -> String {
+    let planar = pentium4_147w();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Fig. 9 planar: {:.0} x {:.0} mm, {:.0} W, {} blocks (hottest: scheduler)",
+        planar.width(),
+        planar.height(),
+        planar.total_power(),
+        planar.blocks().len()
+    );
+    for path in fig9_paths(&planar) {
+        let _ = writeln!(
+            out,
+            "  wire route {:<28}: {:.1} mm planar -> {:.1} mm stacked ({:.0}%)",
+            path.name,
+            path.planar_mm,
+            path.stacked_mm,
+            100.0 * path.ratio()
+        );
+    }
+    match crate::logic_logic::folded_p4() {
+        Ok(folded) => {
+            let d0 = &folded.dies()[0];
+            let _ = writeln!(
+                out,
+                "Fig. 10 3D: two dies of {:.1} x {:.1} mm ({:.0}% footprint), {:.1} W total \
+                 ({} + {} blocks), peak stacked density {:.2}x planar",
+                d0.width(),
+                d0.height(),
+                100.0 * d0.area() / planar.area(),
+                folded.total_power(),
+                folded.dies()[0].blocks().len(),
+                folded.dies()[1].blocks().len(),
+                folded.peak_stacked_density(48, 40) / planar.power_grid(48, 40).peak_density(),
+            );
+        }
+        Err(e) => {
+            let _ = writeln!(out, "Fig. 10 3D: fold failed: {e}");
+        }
+    }
+    out
 }
 
 /// The full Fig. 5 rendering: CPMA table, bandwidth table and headline.

@@ -738,7 +738,7 @@ impl Runner {
 }
 
 /// Runs a single experiment (plus dependencies) with a disabled cache —
-/// the convenience path the per-figure binaries use.
+/// the one-call convenience path for embedders and tests.
 ///
 /// # Errors
 ///

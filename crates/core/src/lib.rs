@@ -3,15 +3,15 @@
 //!
 //! | Paper artefact | Entry point |
 //! |---|---|
-//! | Fig. 3 (conductivity sensitivity) | [`sensitivity::fig3`] |
+//! | Fig. 3 (conductivity sensitivity) | [`sensitivity::fig3_with`] |
 //! | Fig. 5 (RMS CPMA + bandwidth)     | [`memory_logic::fig5`] |
-//! | Fig. 6 (baseline power/thermal map) | [`memory_logic::fig6`] |
+//! | Fig. 6 (baseline power/thermal map) | [`memory_logic::fig6_with`] |
 //! | Fig. 7 (stack options)            | [`StackOption`] |
-//! | Fig. 8 (stacked-cache thermals)   | [`memory_logic::fig8`] |
+//! | Fig. 8 (stacked-cache thermals)   | [`memory_logic::fig8_with`] |
 //! | Fig. 9/10 (floorplans)            | `stacksim_floorplan::{p4, fold}` |
-//! | Fig. 11 (Logic+Logic thermals)    | [`logic_logic::fig11`] |
+//! | Fig. 11 (Logic+Logic thermals)    | [`logic_logic::fig11_with`] |
 //! | Table 4 (per-path gains)          | [`logic_logic::table4`] |
-//! | Table 5 (V/f scaling)             | [`logic_logic::table5`] |
+//! | Table 5 (V/f scaling)             | [`logic_logic::table5_with`] |
 //! | §3 headline numbers               | [`memory_logic::Fig5Data::headline`] |
 //!
 //! All of the above are also registered as named experiments in the
@@ -31,10 +31,10 @@
 //! # Example
 //!
 //! ```
-//! use stacksim_core::memory_logic::run_benchmark;
+//! use stacksim_core::memory_logic::run_benchmark_instrumented;
 //! use stacksim_workloads::{RmsBenchmark, WorkloadParams};
 //!
-//! let row = run_benchmark(RmsBenchmark::Conj, &WorkloadParams::test())?;
+//! let (row, _telemetry) = run_benchmark_instrumented(RmsBenchmark::Conj, &WorkloadParams::test())?;
 //! assert!(row.cpma.iter().all(|&c| c > 0.0));
 //! # Ok::<(), stacksim_core::Error>(())
 //! ```

@@ -122,28 +122,9 @@ fn solve_p4_stack(
 
 /// Solves the three Fig. 11 configurations: planar baseline (147 W), the
 /// repaired 3D fold (125 W at ~1.3× density) and the worst case (147 W at
-/// 2× density).
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-pub fn fig11() -> Result<Vec<Fig11Point>, Error> {
-    Ok(fig11_instrumented()?.0)
-}
-
-/// [`fig11`], also returning the accumulated CG statistics of the three
-/// thermal solves.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-pub fn fig11_instrumented() -> Result<(Vec<Fig11Point>, SolveStats), Error> {
-    fig11_with(SolverConfig::default())
-}
-
-/// [`fig11_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here.
+/// 2× density), also returning the accumulated CG statistics of the three
+/// thermal solves. The harness threads its execution knobs (worker
+/// threads, preconditioner) through `cfg`.
 ///
 /// # Errors
 ///
@@ -217,28 +198,10 @@ pub struct Table5Row {
 /// Runs the Table 5 scaling study. Each row's temperature column is solved
 /// with the finite-volume model on the folded stack (the baseline row uses
 /// the planar stack), exactly as the paper "simulated using the tool
-/// described in Section 2.3".
-///
-/// # Errors
-///
-/// Propagates the first thermal-solver failure.
-pub fn table5() -> Result<Vec<Table5Row>, Error> {
-    Ok(table5_instrumented()?.0)
-}
-
-/// [`table5`], also returning the accumulated CG statistics of every
-/// thermal solve — including the ~24 solves of the Same-Temp bisection.
-///
-/// # Errors
-///
-/// Propagates the first thermal-solver failure.
-pub fn table5_instrumented() -> Result<(Vec<Table5Row>, SolveStats), Error> {
-    table5_with(SolverConfig::default())
-}
-
-/// [`table5_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here.
+/// described in Section 2.3". Also returns the accumulated CG statistics
+/// of every thermal solve — including the ~24 solves of the Same-Temp
+/// bisection. The harness threads its execution knobs (worker threads,
+/// preconditioner) through `cfg`.
 ///
 /// # Errors
 ///
@@ -359,7 +322,7 @@ mod tests {
 
     #[test]
     fn fig11_ordering_and_baseline() {
-        let pts = fig11().unwrap();
+        let (pts, _) = fig11_with(SolverConfig::default()).unwrap();
         assert_eq!(pts.len(), 3);
         assert!(
             (pts[0].peak_c - 98.6).abs() < 1.5,
@@ -381,7 +344,7 @@ mod tests {
 
     #[test]
     fn table5_rows_follow_the_papers_shape() {
-        let rows = table5().unwrap();
+        let (rows, _) = table5_with(SolverConfig::default()).unwrap();
         assert_eq!(rows.len(), 5);
         let by = |l: &str| rows.iter().find(|r| r.label == l).expect("row");
         let baseline = by("Baseline");

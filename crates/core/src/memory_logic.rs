@@ -123,23 +123,14 @@ impl Headline {
     }
 }
 
-/// Runs one benchmark across all four options.
+/// Runs one benchmark across all four options, also returning the
+/// per-option memory-engine telemetry (one [`MemTelemetry`] per Fig. 7
+/// option, in [`StackOption::all`] order).
 ///
 /// # Errors
 ///
 /// Returns [`Error::Config`] if an option's hierarchy preset fails
 /// validation; otherwise infallible.
-pub fn run_benchmark(benchmark: RmsBenchmark, params: &WorkloadParams) -> Result<Fig5Row, Error> {
-    Ok(run_benchmark_instrumented(benchmark, params)?.0)
-}
-
-/// [`run_benchmark`], also returning the per-option memory-engine
-/// telemetry (one [`MemTelemetry`] per Fig. 7 option, in
-/// [`StackOption::all`] order).
-///
-/// # Errors
-///
-/// See [`run_benchmark`].
 pub fn run_benchmark_instrumented(
     benchmark: RmsBenchmark,
     params: &WorkloadParams,
@@ -173,12 +164,12 @@ pub fn run_benchmark_instrumented(
 ///
 /// # Errors
 ///
-/// See [`run_benchmark`].
+/// See [`run_benchmark_instrumented`].
 pub fn fig5(params: &WorkloadParams) -> Result<Fig5Data, Error> {
     Ok(Fig5Data {
         rows: RmsBenchmark::all()
             .iter()
-            .map(|b| run_benchmark(*b, params))
+            .map(|b| run_benchmark_instrumented(*b, params).map(|(row, _)| row))
             .collect::<Result<_, _>>()?,
     })
 }
@@ -234,28 +225,10 @@ pub fn thermal_stack_scaled(option: StackOption, grid: usize, power_factor: f64)
     }
 }
 
-/// Solves the Fig. 8 thermal comparison across all four options.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-pub fn fig8() -> Result<Vec<ThermalPoint>, Error> {
-    Ok(fig8_instrumented()?.0)
-}
-
-/// [`fig8`], also returning the accumulated CG statistics of the four
-/// thermal solves.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-pub fn fig8_instrumented() -> Result<(Vec<ThermalPoint>, SolveStats), Error> {
-    fig8_with(SolverConfig::default())
-}
-
-/// [`fig8_instrumented`] under an explicit solver configuration — the
+/// Solves the Fig. 8 thermal comparison across all four options, also
+/// returning the accumulated CG statistics of the four thermal solves. The
 /// harness threads its execution knobs (worker threads, preconditioner)
-/// through here.
+/// through `cfg`.
 ///
 /// # Errors
 ///
@@ -279,26 +252,8 @@ pub fn fig8_with(cfg: SolverConfig) -> Result<(Vec<ThermalPoint>, SolveStats), E
 }
 
 /// Solves the baseline planar thermal map of Fig. 6: returns the power
-/// grid and the temperature field of the active layer.
-///
-/// # Errors
-///
-/// Propagates solver failure.
-pub fn fig6() -> Result<(PowerGrid, TemperatureField), Error> {
-    let (out, _) = fig6_instrumented()?;
-    Ok(out)
-}
-
-/// [`fig6`], also returning the CG statistics of the solve.
-///
-/// # Errors
-///
-/// Propagates solver failure.
-pub fn fig6_instrumented() -> Result<((PowerGrid, TemperatureField), SolveStats), Error> {
-    fig6_with(SolverConfig::default())
-}
-
-/// [`fig6_instrumented`] under an explicit solver configuration.
+/// grid and the temperature field of the active layer, with the CG
+/// statistics of the solve, under an explicit solver configuration.
 ///
 /// # Errors
 ///
@@ -319,7 +274,7 @@ mod tests {
 
     #[test]
     fn fig8_matches_paper_within_a_degree() {
-        let pts = fig8().unwrap();
+        let (pts, _) = fig8_with(SolverConfig::default()).unwrap();
         let paper = [88.35, 92.85, 88.43, 90.27];
         for (p, target) in pts.iter().zip(paper) {
             assert!(
@@ -338,7 +293,7 @@ mod tests {
 
     #[test]
     fn fig6_baseline_map_shape() {
-        let (grid, field) = fig6().unwrap();
+        let ((grid, field), _) = fig6_with(SolverConfig::default()).unwrap();
         assert!((grid.total() - 92.0).abs() < 1e-6);
         let peak = field.peak();
         assert!((peak - 88.35).abs() < 1.0, "peak {peak:.2}");
@@ -353,7 +308,8 @@ mod tests {
     fn test_scale_fig5_shows_capacity_separation() {
         // at test scale only shape sanity is checked: valid metrics and
         // capacity-insensitive benchmarks staying flat
-        let row = run_benchmark(RmsBenchmark::Conj, &WorkloadParams::test()).unwrap();
+        let (row, _) =
+            run_benchmark_instrumented(RmsBenchmark::Conj, &WorkloadParams::test()).unwrap();
         for c in row.cpma {
             assert!(c > 0.0 && c < 100.0);
         }

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the `fig*`/`table*` regenerator binaries.
+//! Plain-text table rendering for `stacksim run --show` and the CLI reports.
 
 use std::fmt::Write as _;
 

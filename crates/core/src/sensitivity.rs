@@ -38,27 +38,10 @@ impl Fig3Data {
 /// Runs the Fig. 3 sweep on the Logic+Logic two-die stack (the "stacked
 /// microprocessor" of the figure): the far die's heat crosses both metal
 /// stacks and the bond, which is what makes the metal curve dominate.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-pub fn fig3() -> Result<Fig3Data, Error> {
-    Ok(fig3_instrumented()?.0)
-}
-
-/// [`fig3`], also returning the accumulated CG statistics of every solve
-/// across both sweeps.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-pub fn fig3_instrumented() -> Result<(Fig3Data, SolveStats), Error> {
-    fig3_with(SolverConfig::default())
-}
-
-/// [`fig3_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here; `stacksim bench` uses it to time the sweep end to end.
+/// Also returns the accumulated CG statistics of every solve across both
+/// sweeps. The harness threads its execution knobs (worker threads,
+/// preconditioner) through `cfg`; `stacksim bench` uses it to time the
+/// sweep end to end.
 ///
 /// # Errors
 ///
@@ -174,7 +157,7 @@ mod tests {
 
     #[test]
     fn fig3_shape_matches_the_paper() {
-        let data = fig3().unwrap();
+        let (data, _) = fig3_with(SolverConfig::default()).unwrap();
         // both curves rise monotonically as conductivity falls
         for curve in [&data.cu_metal, &data.bond] {
             for w in curve.windows(2) {

@@ -7,7 +7,7 @@
 //! configurable outstanding-miss window, which bounds memory-level
 //! parallelism like a set of MSHRs would).
 
-use stacksim_trace::{CpuId, MemOp, RecordBlock, Trace, TraceRecord};
+use stacksim_trace::{PackedRecord, RecordBlock, Trace};
 
 use crate::config::{ConfigError, Cycles};
 use crate::hierarchy::MemoryHierarchy;
@@ -137,6 +137,10 @@ impl EngineConfigBuilder {
     }
 }
 
+/// Per-CPU issue state slots: one for every possible
+/// [`CpuId`](stacksim_trace::CpuId) (a `u8`).
+const CPU_SLOTS: usize = 1 << u8::BITS;
+
 #[derive(Debug, Clone, Default)]
 struct CpuState {
     /// Issue-bandwidth cursor: advances by `issue_interval` per record,
@@ -249,54 +253,90 @@ impl Engine {
              empty measurement window",
             trace.len()
         );
-        // Completion times live in a power-of-two ring sized to the
-        // largest dependency distance in the trace, not a full-length
-        // table: the dependency offset is bounded, so by the time slot
-        // `i & mask` is overwritten no later record can reference index
-        // `i` any more (a distance of exactly `ring_len` is legal — the
-        // slot is read before this record's own write clobbers it).
-        let packed = trace.packed();
-        let ring_len = (trace.max_dep_offset().max(1) as usize).next_power_of_two();
-        let mask = ring_len - 1;
-        let mut ring: Vec<Cycles> = vec![0; ring_len];
-        let mut cpus: Vec<CpuState> = vec![CpuState::default(); trace.cpu_count().max(1)];
+        // The whole trace is one block, and its largest dependency
+        // distance is the window the ring must cover.
+        let dep_window = trace.max_dep_offset().max(1) as usize;
+        self.replay([trace.packed()], warm_records, dep_window)
+    }
 
+    /// Runs a stream of packed-record blocks — the generate-while-simulate
+    /// pipeline. Blocks typically arrive through a bounded channel fed by a
+    /// producer thread (see `stacksim-workloads`), so the whole trace is
+    /// never materialised. Dependencies must point at most `dep_window`
+    /// records back; the engine keeps only a power-of-two ring of recent
+    /// completion times. Batched observability counters flush once per
+    /// block rather than per reference.
+    ///
+    /// Simulation results are bit-identical to [`Engine::run`] on the
+    /// materialised concatenation of the blocks, for any block
+    /// partitioning — the channel carries data, never ordering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dep_window` is zero or a record's dependency reaches
+    /// further back than `dep_window`.
+    pub fn run_blocks<I>(&mut self, blocks: I, dep_window: usize) -> RunResult
+    where
+        I: IntoIterator<Item = RecordBlock>,
+    {
+        self.replay(blocks, 0, dep_window)
+    }
+
+    /// The one replay loop behind every run path. Feeds `blocks` through
+    /// the issue core in order; the first `warm_records` records (the
+    /// boundary may fall anywhere, mid-block included) update hierarchy
+    /// state but are excluded from the reported metrics.
+    ///
+    /// Completion times live in a power-of-two ring covering `dep_window`,
+    /// not a full-length table: by the time slot `i & mask` is overwritten
+    /// no later record can reference index `i` any more. A distance of
+    /// exactly `dep_window` is legal — the slot is read before this
+    /// record's own write clobbers it — while any greater distance has
+    /// already been clobbered, so it panics rather than silently reading a
+    /// younger completion time.
+    fn replay<I>(&mut self, blocks: I, warm_records: usize, dep_window: usize) -> RunResult
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[PackedRecord]>,
+    {
+        assert!(dep_window > 0, "dependency window must be positive");
+        let mask = dep_window.next_power_of_two() - 1;
+        let mut ring: Vec<Cycles> = vec![0; mask + 1];
+        // Indexing by a `u8` id never needs a bounds check or a resize,
+        // and unused slots never allocate.
+        let mut cpus: Box<[CpuState; CPU_SLOTS]> =
+            Box::new(std::array::from_fn(|_| CpuState::default()));
         let mut stats_at_warmup = HierarchyStats::default();
         let mut bus_bytes_at_warmup = 0u64;
         // Earliest issue / latest completion over the *measured* records
         // (`MAX` = none measured yet; min-tracking stays branchless).
         let mut measured_from: Cycles = Cycles::MAX;
         let mut measured_last: Cycles = 0;
-
-        let (warm, measured) = packed.split_at(warm_records);
-        for (i, p) in warm.iter().enumerate() {
-            let d = p.dep_offset() as usize;
-            let dep_done = if d == 0 { 0 } else { ring[(i - d) & mask] };
-            let cpu = p.cpu();
-            let issued = self.issue(cpu, p.op(), p.addr, &mut cpus[cpu.index()], dep_done);
-            ring[i & mask] = issued.done;
+        let mut n: usize = 0;
+        for block in blocks {
+            let block = block.as_ref();
+            let (warm, measured) = block.split_at(warm_records.saturating_sub(n).min(block.len()));
+            for p in warm {
+                self.step(p, n, &mut ring, mask, dep_window, &mut cpus);
+                n += 1;
+            }
+            if !warm.is_empty() && n == warm_records {
+                stats_at_warmup = *self.hierarchy.stats();
+                bus_bytes_at_warmup = self.hierarchy.bus().bytes();
+            }
+            for p in measured {
+                let issued = self.step(p, n, &mut ring, mask, dep_window, &mut cpus);
+                measured_from = measured_from.min(issued.at);
+                measured_last = measured_last.max(issued.done);
+                n += 1;
+            }
+            self.hierarchy.obs_flush();
         }
-        if warm_records > 0 {
-            stats_at_warmup = *self.hierarchy.stats();
-            bus_bytes_at_warmup = self.hierarchy.bus().bytes();
-        }
-        for (j, p) in measured.iter().enumerate() {
-            let i = warm_records + j;
-            let d = p.dep_offset() as usize;
-            let dep_done = if d == 0 { 0 } else { ring[(i - d) & mask] };
-            let cpu = p.cpu();
-            let issued = self.issue(cpu, p.op(), p.addr, &mut cpus[cpu.index()], dep_done);
-            ring[i & mask] = issued.done;
-            measured_from = measured_from.min(issued.at);
-            measured_last = measured_last.max(issued.done);
-        }
-        self.hierarchy.obs_flush();
         if stacksim_obs::enabled() {
-            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(trace.len() as u64);
+            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(n as u64);
         }
 
-        let end_stats = *self.hierarchy.stats();
-        let stats = diff_stats(end_stats, stats_at_warmup);
+        let stats = diff_stats(*self.hierarchy.stats(), stats_at_warmup);
         let bytes = self.hierarchy.bus().bytes() - bus_bytes_at_warmup;
         let total_cycles = measured_last.saturating_sub(if measured_from == Cycles::MAX {
             0
@@ -305,7 +345,7 @@ impl Engine {
         });
         let references = stats.accesses;
         debug_assert!(
-            references > 0 || trace.is_empty(),
+            references > 0 || n == 0,
             "non-empty trace produced an empty measurement window"
         );
         let cpma = if references == 0 {
@@ -329,155 +369,32 @@ impl Engine {
         }
     }
 
-    /// Runs a record stream without materialising it, for paper-scale
-    /// (billions of references) runs. Dependencies must point at most
-    /// `dep_window` records back — the engine keeps only a ring of recent
-    /// completion times. Kernel-generated traces have short dependence
-    /// distances (indices feeding gathers, reduction chains), so a few
-    /// thousand is ample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dep_window` is zero, a record's dependency is further
-    /// back than `dep_window`, or the stream's ids are not dense from 0.
-    pub fn run_stream<I>(&mut self, records: I, dep_window: usize) -> RunResult
-    where
-        I: IntoIterator<Item = TraceRecord>,
-    {
-        assert!(dep_window > 0, "dependency window must be positive");
-        let mut ring: Vec<Cycles> = vec![0; dep_window];
-        let mut cpus: Vec<CpuState> = Vec::new();
-        let mut last_done: Cycles = 0;
-        let mut n: u64 = 0;
-        for r in records {
-            assert_eq!(r.id.raw(), n, "stream ids must be dense from zero");
-            if let Some(dep) = r.dep {
-                // A distance of *exactly* `dep_window` is legal: the
-                // dependency's completion still sits in
-                // `ring[dep % dep_window]` — the very slot this record
-                // overwrites below — and the issue step reads it before
-                // that overwrite. Any greater distance has already been
-                // clobbered by an intervening record, so it must panic
-                // rather than silently use a younger completion time.
-                assert!(
-                    r.id.raw() - dep.raw() <= dep_window as u64,
-                    "dependency distance {} exceeds the window {dep_window}",
-                    r.id.raw() - dep.raw()
-                );
-            }
-            if r.cpu.index() >= cpus.len() {
-                cpus.resize_with(r.cpu.index() + 1, CpuState::default);
-            }
-            let dep_done = r.dep.map_or(0, |dep| ring[dep.index() % dep_window]);
-            let issued = self.issue(r.cpu, r.op, r.addr, &mut cpus[r.cpu.index()], dep_done);
-            ring[r.id.index() % dep_window] = issued.done;
-            last_done = last_done.max(issued.done);
-            n += 1;
-        }
-        self.hierarchy.obs_flush();
-        if stacksim_obs::enabled() {
-            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(n);
-        }
-        self.stream_result(last_done, n)
-    }
-
-    /// Runs a stream of packed-record blocks — the generate-while-simulate
-    /// pipeline. Blocks typically arrive through a bounded channel fed by a
-    /// producer thread (see `stacksim-workloads`), so the whole trace is
-    /// never materialised. Dependencies must point at most `dep_window`
-    /// records back; the engine keeps only a power-of-two ring of recent
-    /// completion times. Batched observability counters flush once per
-    /// block rather than per reference.
-    ///
-    /// Simulation results are bit-identical to [`Engine::run`] on the
-    /// materialised concatenation of the blocks, for any block
-    /// partitioning — the channel carries data, never ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dep_window` is zero or a record's dependency reaches
-    /// further back than `dep_window`.
-    pub fn run_blocks<I>(&mut self, blocks: I, dep_window: usize) -> RunResult
-    where
-        I: IntoIterator<Item = RecordBlock>,
-    {
-        assert!(dep_window > 0, "dependency window must be positive");
-        let ring_len = dep_window.next_power_of_two();
-        let mask = ring_len - 1;
-        let mut ring: Vec<Cycles> = vec![0; ring_len];
-        let mut cpus: Vec<CpuState> = Vec::new();
-        let mut last_done: Cycles = 0;
-        let mut n: usize = 0;
-        for block in blocks {
-            for p in &block {
-                let d = p.dep_offset() as usize;
-                assert!(
-                    d <= dep_window,
-                    "dependency distance {d} exceeds the window {dep_window}"
-                );
-                let cpu = p.cpu();
-                if cpu.index() >= cpus.len() {
-                    cpus.resize_with(cpu.index() + 1, CpuState::default);
-                }
-                let dep_done = if d == 0 { 0 } else { ring[(n - d) & mask] };
-                let issued = self.issue(cpu, p.op(), p.addr, &mut cpus[cpu.index()], dep_done);
-                ring[n & mask] = issued.done;
-                last_done = last_done.max(issued.done);
-                n += 1;
-            }
-            self.hierarchy.obs_flush();
-        }
-        if stacksim_obs::enabled() {
-            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(n as u64);
-        }
-        self.stream_result(last_done, n as u64)
-    }
-
-    /// Whole-stream accounting shared by [`Engine::run_stream`] and
-    /// [`Engine::run_blocks`]: the measured interval opens at cycle 0.
-    fn stream_result(&self, last_done: Cycles, n: u64) -> RunResult {
-        let stats = *self.hierarchy.stats();
-        let bytes = self.hierarchy.bus().bytes();
-        let cpma = if n == 0 {
-            0.0
-        } else {
-            last_done as f64 / n as f64
-        };
-        let gbs = if last_done == 0 {
-            0.0
-        } else {
-            bytes as f64 * self.hierarchy.config().bus.core_hz / last_done as f64 / 1e9
-        };
-        RunResult {
-            total_cycles: last_done,
-            references: n,
-            cpma,
-            mean_latency: stats.mean_latency(),
-            offdie_gb_per_sec: gbs,
-            offdie_bytes: bytes,
-            stats,
-        }
-    }
-
-    /// The one issue/drain/access/cursor sequence shared by every run
-    /// path. `dep_done` is the completion time of the record's dependency
-    /// (0 when it has none); it is ignored under the `ignore_deps`
-    /// ablation. Force-inlined: with four call sites this loses the
-    /// inliner's cost model, but each replay loop wants the whole
-    /// issue/access/insert chain flattened so the per-cpu state stays in
-    /// registers across records.
+    /// The one issue/drain/access/cursor sequence for record `i`. The
+    /// dependency's completion time comes from the ring (0 when the record
+    /// has none) and is ignored under the `ignore_deps` ablation.
+    /// Force-inlined: each of its two call sites in [`Engine::replay`]
+    /// wants the whole issue/access/insert chain flattened so the per-cpu
+    /// state stays in registers across records.
     #[inline(always)]
-    fn issue(
+    fn step(
         &mut self,
-        cpu_id: CpuId,
-        op: MemOp,
-        addr: u64,
-        cpu: &mut CpuState,
-        dep_done: Cycles,
+        p: &PackedRecord,
+        i: usize,
+        ring: &mut [Cycles],
+        mask: usize,
+        dep_window: usize,
+        cpus: &mut [CpuState; CPU_SLOTS],
     ) -> Issued {
+        let d = p.dep_offset() as usize;
+        assert!(
+            d <= dep_window,
+            "dependency distance {d} exceeds the window {dep_window}"
+        );
+        let cpu_id = p.cpu();
+        let cpu = &mut cpus[usize::from(cpu_id.raw())];
         let mut t = cpu.cursor;
-        if !self.cfg.ignore_deps {
-            t = t.max(dep_done);
+        if !self.cfg.ignore_deps && d != 0 {
+            t = t.max(ring[(i - d) & mask]);
         }
         cpu.drain_before(t);
         while cpu.outstanding.len() >= self.cfg.window {
@@ -486,13 +403,14 @@ impl Engine {
                 None => break, // unreachable: len >= window >= 1
             }
         }
-        let res = self.hierarchy.access(cpu_id, op, addr, t);
+        let res = self.hierarchy.access(cpu_id, p.op(), p.addr, t);
         cpu.insert(res.done);
         // the cursor advances at issue bandwidth, but may not lag the newest
         // issue by more than the lookahead — younger records overlap a stall
         // only as far as the reorder window reaches
         cpu.cursor =
             cpu.cursor.max(t.saturating_sub(self.cfg.rob_lookahead)) + self.cfg.issue_interval;
+        ring[i & mask] = res.done;
         Issued {
             at: t,
             done: res.done,
@@ -524,9 +442,13 @@ mod tests {
     use stacksim_trace::{CpuId, MemOp, TraceBuilder};
 
     fn engine() -> Engine {
+        engine_with(EngineConfig::default())
+    }
+
+    fn engine_with(cfg: EngineConfig) -> Engine {
         Engine::new(
             MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            EngineConfig::default(),
+            cfg,
         )
     }
 
@@ -615,18 +537,12 @@ mod tests {
             prev = Some(b.record_dep(CpuId::new(0), MemOp::Load, i * 4096, 0, prev));
         }
         let t = b.build();
-        let mut e = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            EngineConfig {
-                ignore_deps: true,
-                ..EngineConfig::default()
-            },
-        );
+        let mut e = engine_with(EngineConfig {
+            ignore_deps: true,
+            ..EngineConfig::default()
+        });
         let overlapped = e.run(&t).cpma;
-        let mut e = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            EngineConfig::default(),
-        );
+        let mut e = engine_with(EngineConfig::default());
         let serial = e.run(&t).cpma;
         assert!(
             overlapped * 2.0 < serial,
@@ -642,13 +558,10 @@ mod tests {
             b.record(CpuId::new(0), MemOp::Load, i << 20, 0);
         }
         let t = b.build();
-        let mut e = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            EngineConfig {
-                window: 1,
-                ..EngineConfig::default()
-            },
-        );
+        let mut e = engine_with(EngineConfig {
+            window: 1,
+            ..EngineConfig::default()
+        });
         let serial = e.run(&t).cpma;
         let parallel = engine().run(&t).cpma;
         assert!(
@@ -761,56 +674,63 @@ mod tests {
         b.build()
     }
 
-    fn assert_stream_matches_run(cfg: EngineConfig, t: &Trace, dep_window: usize) {
-        let mut batch_engine = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            cfg,
-        );
-        let batch = batch_engine.run(t);
-        let mut stream_engine = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            cfg,
-        );
-        let stream = stream_engine.run_stream(t.iter(), dep_window);
-        assert_eq!(batch.total_cycles, stream.total_cycles, "cfg {cfg:?}");
-        assert_eq!(batch.offdie_bytes, stream.offdie_bytes, "cfg {cfg:?}");
-        assert_eq!(batch.references, stream.references, "cfg {cfg:?}");
-        assert_eq!(batch.stats, stream.stats, "cfg {cfg:?}");
+    fn blocks_of(t: &Trace, block_len: usize) -> Vec<RecordBlock> {
+        t.packed().chunks(block_len).map(<[_]>::to_vec).collect()
+    }
+
+    /// `run_blocks` over any partitioning must equal `run` bit for bit.
+    fn assert_blocks_match_run(cfg: EngineConfig, t: &Trace, dep_window: usize) {
+        let batch = engine_with(cfg).run(t);
+        for block_len in [1usize, 7, 64, 4096] {
+            let streamed = engine_with(cfg).run_blocks(blocks_of(t, block_len), dep_window);
+            assert_eq!(batch, streamed, "cfg {cfg:?}, block {block_len}");
+        }
     }
 
     #[test]
-    fn run_stream_matches_run_on_materialised_traces() {
-        assert_stream_matches_run(EngineConfig::default(), &mixed_trace(5_000), 64);
+    fn run_blocks_matches_run_at_any_block_size() {
+        assert_blocks_match_run(EngineConfig::default(), &mixed_trace(5_000), 64);
     }
 
     #[test]
-    fn run_stream_matches_run_with_nonzero_lookahead_variants() {
-        // The shared issue core must agree for lookahead 0 (cursor pinned
-        // to the newest issue), the default 192, and an effectively
-        // unbounded lookahead.
+    fn run_blocks_matches_run_across_lookahead_and_window_variants() {
+        // Lookahead 0 (cursor pinned to the newest issue), the default 192
+        // and an effectively unbounded lookahead; then window=2, which
+        // forces the outstanding-miss drain loop on nearly every record.
         let t = mixed_trace(5_000);
         for rob_lookahead in [0, 192, 1 << 40] {
             let cfg = EngineConfig {
                 rob_lookahead,
                 ..EngineConfig::default()
             };
-            assert_stream_matches_run(cfg, &t, 64);
+            assert_blocks_match_run(cfg, &t, 64);
         }
-    }
-
-    #[test]
-    fn run_stream_matches_run_with_saturated_window() {
-        // window=2 forces the outstanding-miss drain loop to run on nearly
-        // every record, exercising the full-window path of the shared core.
         let cfg = EngineConfig {
             window: 2,
             ..EngineConfig::default()
         };
-        assert_stream_matches_run(cfg, &mixed_trace(5_000), 64);
+        assert_blocks_match_run(cfg, &t, 64);
+    }
+
+    /// The warm boundary `floor(0.4 · len)` may fall anywhere inside a
+    /// block; the block-fed loop must still reproduce `run_warmed`.
+    #[test]
+    fn warm_prefix_boundary_mid_block_matches_run_warmed() {
+        let t = mixed_trace(5_003);
+        let warmed = engine().run_warmed(&t, 0.4);
+        let warm_records = (t.len() as f64 * 0.4) as usize;
+        for block_len in [1usize, 7, 4096] {
+            if block_len > 1 {
+                assert_ne!(warm_records % block_len, 0, "boundary falls mid-block");
+            }
+            let replayed = engine().replay(blocks_of(&t, block_len), warm_records, 64);
+            assert_eq!(warmed, replayed, "block {block_len}");
+            assert_eq!(warmed.cpma.to_bits(), replayed.cpma.to_bits());
+        }
     }
 
     #[test]
-    fn run_stream_accepts_dependency_at_exactly_dep_window() {
+    fn run_blocks_accepts_dependency_at_exactly_dep_window() {
         // Distance == dep_window is the boundary the ring invariant makes
         // legal: the dependency's slot is read before this record
         // overwrites it. The stream must also agree with the batch path.
@@ -823,12 +743,12 @@ mod tests {
         // id == dep_window, dep id == 0: distance exactly dep_window
         b.record_dep(CpuId::new(0), MemOp::Load, 64, 0, Some(first));
         let t = b.build();
-        assert_stream_matches_run(EngineConfig::default(), &t, dep_window);
+        assert_blocks_match_run(EngineConfig::default(), &t, dep_window);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the window")]
-    fn run_stream_rejects_dependency_at_dep_window_plus_one() {
+    fn run_blocks_rejects_dependency_at_dep_window_plus_one() {
         // One past the boundary: the slot has been overwritten by the
         // depending record's predecessor, so the engine must refuse.
         let dep_window = 16usize;
@@ -840,41 +760,7 @@ mod tests {
         // id == dep_window + 1, dep id == 0
         b.record_dep(CpuId::new(0), MemOp::Load, 64, 0, Some(first));
         let t = b.build();
-        let _ = engine().run_stream(t.iter(), dep_window);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the window")]
-    fn run_stream_rejects_distant_dependencies() {
-        let mut b = TraceBuilder::new();
-        let first = b.record(CpuId::new(0), MemOp::Load, 0, 0);
-        for _ in 0..100 {
-            b.record(CpuId::new(0), MemOp::Load, 64, 0);
-        }
-        b.record_dep(CpuId::new(0), MemOp::Load, 128, 0, Some(first));
-        let t = b.build();
-        let _ = engine().run_stream(t.iter(), 16);
-    }
-
-    #[test]
-    fn run_blocks_matches_run_at_any_block_size() {
-        let t = mixed_trace(5_000);
-        let batch = engine().run(&t);
-        for block_len in [1usize, 64, 4096] {
-            let blocks: Vec<_> = t.packed().chunks(block_len).map(<[_]>::to_vec).collect();
-            let mut e = engine();
-            let streamed = e.run_blocks(blocks, 64);
-            assert_eq!(
-                batch.total_cycles, streamed.total_cycles,
-                "block {block_len}"
-            );
-            assert_eq!(
-                batch.offdie_bytes, streamed.offdie_bytes,
-                "block {block_len}"
-            );
-            assert_eq!(batch.references, streamed.references, "block {block_len}");
-            assert_eq!(batch.stats, streamed.stats, "block {block_len}");
-        }
+        let _ = engine().run_blocks(blocks_of(&t, 5), dep_window);
     }
 
     #[test]

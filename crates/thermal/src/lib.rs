@@ -18,14 +18,15 @@
 //!
 //! ```
 //! use stacksim_floorplan::PowerGrid;
-//! use stacksim_thermal::{solve, Boundary, LayerStack, SolverConfig};
+//! use stacksim_thermal::{solve_with_stats, Boundary, LayerStack, SolverConfig};
 //!
 //! let mut power = PowerGrid::zero(8, 8, 13.0, 11.0);
 //! power.add(2, 2, 40.0);
 //! let stack = LayerStack::planar(13.0, 11.0, power);
 //! let cfg = SolverConfig::builder().nx(8).ny(8).build();
-//! let field = solve(&stack, Boundary::default(), cfg)?;
-//! assert!(field.peak() > 40.0);
+//! let solution = solve_with_stats(&stack, Boundary::default(), cfg)?;
+//! assert!(solution.field.peak() > 40.0);
+//! assert!(solution.stats.iterations > 0);
 //! # Ok::<(), stacksim_thermal::SolveError>(())
 //! ```
 
@@ -46,7 +47,7 @@ pub use field::TemperatureField;
 pub use resistor::ResistorStack;
 pub use solver::reference;
 pub use solver::{
-    solve, solve_transient, solve_with_stats, Preconditioner, Solution, SolveError, SolveStats,
+    solve_transient, solve_with_stats, Preconditioner, Solution, SolveError, SolveStats,
     SolverConfig, SolverConfigBuilder, SolverConfigError, System, TransientPoint,
     MAX_SOLVER_THREADS,
 };

@@ -4,9 +4,9 @@
 //! this crate registers at runtime must appear in [`NAMES`].
 //!
 //! Timing here never feeds back into the numerics — the solver stays
-//! bit-identical with observability on or off, and the phase clocks are
-//! armed only on the serial driver / worker 0 of the pool, so the
-//! determinism contract of the multi-threaded CG is untouched.
+//! bit-identical with observability on or off, and the phase clocks and
+//! the residual trajectory are armed only on worker 0 of the CG driver, so
+//! the determinism contract of the multi-threaded CG is untouched.
 
 use std::time::Instant;
 
@@ -49,7 +49,8 @@ pub const NAMES: &[&str] = &[
 /// are spans; the rest are points). Listed for the event-schema docs and
 /// the SL060 table.
 pub const EVENT_SOLVE: &str = "thermal.cg.solve";
-/// Residual-trajectory point event (serial driver only).
+/// Residual-trajectory point event (sampled by worker 0 at iteration 0 and
+/// at powers of two, whatever the worker count).
 pub const EVENT_TRAJECTORY: &str = "thermal.cg.trajectory";
 
 /// Phase indices of [`PhaseClock`].

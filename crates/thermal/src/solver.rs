@@ -22,12 +22,13 @@
 //!
 //! # Determinism contract
 //!
-//! With `SolverConfig::threads > 1` each solve spawns its workers **once**
-//! on scoped threads ([`std::thread::scope`] — no dependencies) and drives
-//! them through the CG phases with a spin barrier (per-phase spawning
-//! costs more than a phase's arithmetic at these grid sizes). Work is
-//! partitioned into fixed contiguous layer slabs (plane rows for the
-//! line-z phases). Every reduction is accumulated into fixed per-layer
+//! Every solve runs through one CG driver. The calling thread is worker 0;
+//! with `SolverConfig::threads > 1` the solve spawns its other workers
+//! **once** on scoped threads ([`std::thread::scope`] — no dependencies)
+//! and drives them through the CG phases with a spin barrier (per-phase
+//! spawning costs more than a phase's arithmetic at these grid sizes).
+//! Work is partitioned into fixed contiguous layer slabs (plane rows for
+//! the line-z phases). Every reduction is accumulated into fixed per-layer
 //! (per-row) partials in index order and folded in layer (row) order on
 //! worker 0. The partition only decides *who* computes a partial, never
 //! how it is rounded, so results are **bit-identical for any thread
@@ -439,7 +440,7 @@ fn row_cls(t: &[[f64; 3]], l: usize, j: usize, ny: usize, nx: usize) -> (f64, f6
 /// vector accumulator and let the loop autovectorize. The lane assignment
 /// (`i mod 4`), the `(l0+l1) + (l2+l3)` combine and the in-order scalar
 /// tail are fixed functions of the row length, so the result is
-/// deterministic and identical for the serial and threaded drivers.
+/// deterministic and identical for any worker count.
 #[inline]
 fn dot_row(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len();
@@ -656,8 +657,9 @@ struct MtShared<'a> {
 }
 
 /// The assembled finite-volume system for one stack/boundary/grid triple.
-/// Build once with [`System::assemble`], then run [`System::steady`],
-/// [`System::steady_from`] or [`System::transient`].
+/// Build once with [`System::assemble`], then run
+/// [`System::steady_with_stats`], [`System::steady_from`] or
+/// [`System::transient`].
 #[derive(Debug, Clone)]
 pub struct System {
     nx: usize,
@@ -957,91 +959,6 @@ impl System {
         }
     }
 
-    /// Serial precondition pass `z ← M⁻¹·r` over the whole grid. Returns
-    /// `r·z` folded from the partials in index order. `scratch` must hold
-    /// `n` elements for line-z (the forward-elimination buffer); Jacobi
-    /// ignores it.
-    ///
-    /// The line-z sweeps run whole contiguous planes per layer — the
-    /// per-element arithmetic and the per-row fold order are exactly those
-    /// of the row-partitioned [`System::linez_rows`] the threaded driver
-    /// uses, so both produce bit-identical results.
-    fn precondition_full(
-        &self,
-        fac: &Factors,
-        r: &[f64],
-        z: &mut [f64],
-        pt: &mut [f64],
-        scratch: &mut [f64],
-    ) -> f64 {
-        let nxy = self.nxy();
-        match fac {
-            Factors::Jacobi { inv } => jacobi_slab(inv, 0, self.ny, r, z, pt, self.nx),
-            Factors::LineZ { inv_w, cp } => {
-                let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-                // forward: y_0 = r_0/w_0, y_l = (r_l + gz[l−1]·y_{l−1})/w_l
-                for j in 0..ny {
-                    let (iwe, iwm) = row_cls(inv_w, 0, j, ny, nx);
-                    let o = j * nx;
-                    scratch[o] = r[o] * iwe;
-                    for i in 1..nx.saturating_sub(1) {
-                        scratch[o + i] = r[o + i] * iwm;
-                    }
-                    if nx > 1 {
-                        scratch[o + nx - 1] = r[o + nx - 1] * iwe;
-                    }
-                }
-                for l in 1..nl {
-                    let g = self.gz[l - 1];
-                    let (prev, cur) = scratch.split_at_mut(l * nxy);
-                    let prev = &prev[(l - 1) * nxy..];
-                    let base = l * nxy;
-                    for j in 0..ny {
-                        let (iwe, iwm) = row_cls(inv_w, l, j, ny, nx);
-                        let o = j * nx;
-                        cur[o] = (r[base + o] + g * prev[o]) * iwe;
-                        for i in 1..nx.saturating_sub(1) {
-                            cur[o + i] = (r[base + o + i] + g * prev[o + i]) * iwm;
-                        }
-                        if nx > 1 {
-                            let e = o + nx - 1;
-                            cur[e] = (r[base + e] + g * prev[e]) * iwe;
-                        }
-                    }
-                }
-                // backward: z_{nl−1} = y_{nl−1}, z_l = y_l + cp_l·z_{l+1}
-                z[(nl - 1) * nxy..].copy_from_slice(&scratch[(nl - 1) * nxy..]);
-                for l in (0..nl - 1).rev() {
-                    let (lo, hi) = z.split_at_mut((l + 1) * nxy);
-                    let zu = &hi[..nxy];
-                    let zl = &mut lo[l * nxy..];
-                    let base = l * nxy;
-                    for j in 0..ny {
-                        let (cpe, cpm) = row_cls(cp, l, j, ny, nx);
-                        let o = j * nx;
-                        zl[o] = scratch[base + o] + cpe * zu[o];
-                        for i in 1..nx.saturating_sub(1) {
-                            zl[o + i] = scratch[base + o + i] + cpm * zu[o + i];
-                        }
-                        if nx > 1 {
-                            let e = o + nx - 1;
-                            zl[e] = scratch[base + e] + cpe * zu[e];
-                        }
-                    }
-                }
-                // r·z partials, one per (row, layer) at pt[j·nl + l] —
-                // the same lanes, in the same slots, as [`System::linez_rows`]
-                for j in 0..self.ny {
-                    for l in 0..nl {
-                        let g = l * nxy + j * nx;
-                        pt[j * nl + l] = dot_row(&r[g..g + nx], &z[g..g + nx]);
-                    }
-                }
-            }
-        }
-        pt.iter().sum()
-    }
-
     /// Thomas forward/back substitution for the rows `j0..j1` of every
     /// layer. `rows[l]` is that layer's `(j1−j0)·nx` mutable window of `z`;
     /// `scratch` holds the `nl·nx` forward-elimination buffer; `pt` gets
@@ -1110,108 +1027,13 @@ impl System {
         }
     }
 
-    /// Serial line-z iteration tail, fully fused: per layer, the CG update
-    /// (`x += αp`, `r −= αap`, per-row `‖r‖²` partials into `pt_r2`)
-    /// immediately feeds the Thomas forward elimination while the fresh
-    /// residual is still in cache; the back-substitution then writes `z`
-    /// and folds the per-`(row, layer)` `r·z` partials into `pt_rz` in the
-    /// same pass. Every chain and partial slot matches the threaded
-    /// driver's unfused update + [`System::linez_rows`] phases, so the
-    /// results are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn linez_cycle(
-        &self,
-        alpha: f64,
-        p: &[f64],
-        ap: &[f64],
-        inv_w: &[[f64; 3]],
-        cp: &[[f64; 3]],
-        x: &mut [f64],
-        r: &mut [f64],
-        z: &mut [f64],
-        pt_r2: &mut [f64],
-        pt_rz: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-        let nxy = self.nxy();
-        // CG update + forward elimination, layer by layer
-        for l in 0..nl {
-            let base = l * nxy;
-            update_slab(
-                alpha,
-                &p[base..base + nxy],
-                &ap[base..base + nxy],
-                &mut x[base..base + nxy],
-                &mut r[base..base + nxy],
-                &mut pt_r2[l * ny..(l + 1) * ny],
-                nx,
-            );
-            if l == 0 {
-                for j in 0..ny {
-                    let (iwe, iwm) = row_cls(inv_w, 0, j, ny, nx);
-                    let o = j * nx;
-                    scratch[o] = r[o] * iwe;
-                    for i in 1..nx.saturating_sub(1) {
-                        scratch[o + i] = r[o + i] * iwm;
-                    }
-                    if nx > 1 {
-                        scratch[o + nx - 1] = r[o + nx - 1] * iwe;
-                    }
-                }
-            } else {
-                let g = self.gz[l - 1];
-                let (prev, cur) = scratch.split_at_mut(base);
-                let prev = &prev[base - nxy..];
-                for j in 0..ny {
-                    let (iwe, iwm) = row_cls(inv_w, l, j, ny, nx);
-                    let o = j * nx;
-                    cur[o] = (r[base + o] + g * prev[o]) * iwe;
-                    for i in 1..nx.saturating_sub(1) {
-                        cur[o + i] = (r[base + o + i] + g * prev[o + i]) * iwm;
-                    }
-                    if nx > 1 {
-                        let e = o + nx - 1;
-                        cur[e] = (r[base + e] + g * prev[e]) * iwe;
-                    }
-                }
-            }
-        }
-        // back substitution fused with the r·z fold
-        let top = (nl - 1) * nxy;
-        z[top..].copy_from_slice(&scratch[top..]);
-        for j in 0..ny {
-            let g = top + j * nx;
-            pt_rz[j * nl + (nl - 1)] = dot_row(&r[g..g + nx], &z[g..g + nx]);
-        }
-        for l in (0..nl - 1).rev() {
-            let base = l * nxy;
-            let (zlo, zhi) = z.split_at_mut(base + nxy);
-            let zl = &mut zlo[base..];
-            let zu = &zhi[..nxy];
-            for j in 0..ny {
-                let (cpe, cpm) = row_cls(cp, l, j, ny, nx);
-                let o = j * nx;
-                zl[o] = scratch[base + o] + cpe * zu[o];
-                for i in 1..nx.saturating_sub(1) {
-                    zl[o + i] = scratch[base + o + i] + cpm * zu[o + i];
-                }
-                if nx > 1 {
-                    let e = o + nx - 1;
-                    zl[e] = scratch[base + e] + cpe * zu[e];
-                }
-                pt_rz[j * nl + l] = dot_row(&r[base + o..base + o + nx], &zl[o..o + nx]);
-            }
-        }
-    }
-
     /// Preconditioned CG for `(A + shift·M) x = b`, warm-started at `x`.
     /// On success also returns the iteration count and final relative
     /// residual. The residual norm is carried over from the fused update
     /// pass — never recomputed — and the preconditioner divisions are
-    /// hoisted into the precomputed [`Factors`]. Dispatches to the
-    /// persistent-worker driver when more than one thread is useful; both
-    /// drivers produce bit-identical results (see the module docs).
+    /// hoisted into the precomputed [`Factors`]. Every solve runs through
+    /// the one worker driver, [`System::cg_mt`], whose results are
+    /// bit-identical for any worker count (see the module docs).
     fn cg(&self, shift: f64, b: &[f64], x: Vec<f64>) -> Result<(Vec<f64>, SolveStats), SolveError> {
         if stacksim_faults::armed() {
             match stacksim_faults::check(crate::faults::SITE_CG, self.cfg.preconditioner.label()) {
@@ -1230,20 +1052,12 @@ impl System {
         let fac = self.factorize(shift);
         let workers = effective_workers(self.cfg.threads, self.nl, self.ny);
         if !stacksim_obs::enabled() {
-            return if workers > 1 {
-                self.cg_mt(shift, b, x, &fac, workers)
-            } else {
-                self.cg_serial(shift, b, x, &fac)
-            };
+            return self.cg_mt(shift, b, x, &fac, workers);
         }
         // Observability wrapper: pure timing and counter updates around
         // the unchanged numeric path — results stay bit-identical.
         let t0 = std::time::Instant::now();
-        let result = if workers > 1 {
-            self.cg_mt(shift, b, x, &fac, workers)
-        } else {
-            self.cg_serial(shift, b, x, &fac)
-        };
+        let result = self.cg_mt(shift, b, x, &fac, workers);
         let wall_us = t0.elapsed().as_micros() as u64;
         stacksim_obs::counter(crate::obs::CG_SOLVE_US).add(wall_us);
         if let Ok((_, stats)) = &result {
@@ -1264,108 +1078,7 @@ impl System {
         result
     }
 
-    /// The single-threaded CG driver: straight-line calls into the slab
-    /// kernels, folding each reduction's per-layer (per-row) partials in
-    /// index order.
-    fn cg_serial(
-        &self,
-        shift: f64,
-        b: &[f64],
-        mut x: Vec<f64>,
-        fac: &Factors,
-    ) -> Result<(Vec<f64>, SolveStats), SolveError> {
-        let n = x.len();
-        let nx = self.nx;
-        let linez = matches!(fac, Factors::LineZ { .. });
-        let rows = self.nl * self.ny;
-        let mut pt_a = vec![0.0f64; rows];
-        let mut pt_b = vec![0.0f64; rows];
-        let mut pt_pre = vec![0.0f64; rows];
-        let mut scratch = vec![0.0f64; if linez { n } else { 0 }];
-
-        // Observability: phase wall clocks plus the relative-residual
-        // trajectory (sampled at power-of-two iterations), all inert and
-        // allocation-free unless the obs layer is enabled.
-        let observe = stacksim_obs::enabled();
-        let mut clock = crate::obs::PhaseClock::new(observe);
-        let mut trajectory: Vec<f64> = Vec::new();
-
-        let mut r = vec![0.0f64; n];
-        self.apply_slab(shift, &x, &mut r, 0);
-        residual_slab(b, &mut r, &mut pt_a, &mut pt_b, nx);
-        let bnorm = pt_a.iter().sum::<f64>().sqrt().max(1e-300);
-        let mut rnorm2: f64 = pt_b.iter().sum();
-        clock.lap(crate::obs::PH_APPLY);
-
-        let mut z = vec![0.0f64; n];
-        let mut rz = self.precondition_full(fac, &r, &mut z, &mut pt_pre, &mut scratch);
-        let mut p = z.clone();
-        let mut ap = vec![0.0f64; n];
-        clock.lap(crate::obs::PH_PRECOND);
-
-        for iter in 0..self.cfg.max_iters {
-            let rel = rnorm2.sqrt() / bnorm;
-            if observe && (iter.is_power_of_two() || iter == 0) {
-                trajectory.push(rel);
-            }
-            if rel < self.cfg.tolerance {
-                let stats = SolveStats {
-                    solves: 1,
-                    iterations: iter,
-                    residual: rel,
-                };
-                if observe {
-                    Self::emit_trajectory_event(iter, rel, &trajectory);
-                }
-                return Ok((x, stats));
-            }
-            self.apply_dot_slab(shift, &p, &mut ap, 0, &mut pt_a);
-            clock.lap(crate::obs::PH_APPLY);
-            let pap: f64 = pt_a.iter().sum();
-            let alpha = rz / pap;
-            clock.lap(crate::obs::PH_REDUCE);
-            let rz_new = match fac {
-                Factors::Jacobi { inv } => {
-                    update_jacobi_slab(
-                        alpha, &p, &ap, inv, 0, self.ny, &mut x, &mut r, &mut z, &mut pt_a,
-                        &mut pt_b, nx,
-                    );
-                    rnorm2 = pt_a.iter().sum();
-                    pt_b.iter().sum()
-                }
-                Factors::LineZ { inv_w, cp } => {
-                    self.linez_cycle(
-                        alpha,
-                        &p,
-                        &ap,
-                        inv_w,
-                        cp,
-                        &mut x,
-                        &mut r,
-                        &mut z,
-                        &mut pt_a,
-                        &mut pt_pre,
-                        &mut scratch,
-                    );
-                    rnorm2 = pt_a.iter().sum();
-                    pt_pre.iter().sum()
-                }
-            };
-            clock.lap(crate::obs::PH_UPDATE);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for (pv, &zv) in p.iter_mut().zip(&z) {
-                *pv = zv + beta * *pv;
-            }
-            clock.lap(crate::obs::PH_UPDATE);
-        }
-        Err(SolveError::NoConvergence {
-            iters: self.cfg.max_iters,
-            residual: rnorm2.sqrt() / bnorm,
-        })
-    }
-
-    /// Emit the serial driver's residual-trajectory point event.
+    /// Emit worker 0's residual-trajectory point event.
     #[cold]
     fn emit_trajectory_event(iters: usize, final_rel: f64, samples: &[f64]) {
         let joined = samples
@@ -1383,13 +1096,13 @@ impl System {
         );
     }
 
-    /// The persistent-worker CG driver: spawns `workers − 1` scoped threads
-    /// **once per solve** (the calling thread is worker 0) and coordinates
-    /// the phases with a [`SpinBarrier`] — at these grid sizes a per-phase
-    /// `thread::scope` costs more than the phase's arithmetic, a barrier
-    /// crossing doesn't. Worker 0 folds every reduction's partials in index
-    /// order, exactly as the serial driver does, so the result is
-    /// bit-identical to `cg_serial` for any worker count.
+    /// The CG driver: spawns `workers − 1` scoped threads **once per
+    /// solve** (the calling thread is worker 0, so a single worker spawns
+    /// nothing) and coordinates the phases with a [`SpinBarrier`] — at
+    /// these grid sizes a per-phase `thread::scope` costs more than the
+    /// phase's arithmetic, a barrier crossing doesn't. Worker 0 folds every
+    /// reduction's partials in index order, so the result is bit-identical
+    /// for any worker count.
     fn cg_mt(
         &self,
         shift: f64,
@@ -1487,10 +1200,14 @@ impl System {
         let (mut bnorm, mut rnorm2, mut rz) = (0.0f64, 0.0f64, 0.0f64);
         let mut outcome = (false, 0usize, 0.0f64);
         // Worker 0 reports pool phase wall time (its barrier-to-barrier
-        // intervals, which include waiting for stragglers). Flushes to
-        // the phase counters on drop, covering every return path; purely
-        // timing, so worker-count bit-identicality is preserved.
-        let mut clock = crate::obs::PhaseClock::new(w == 0 && stacksim_obs::enabled());
+        // intervals, which include waiting for stragglers) and samples the
+        // relative-residual trajectory at iteration 0 and at powers of two.
+        // The clock flushes to the phase counters on drop, covering every
+        // return path; both are observation only, so worker-count
+        // bit-identicality is preserved.
+        let observe = w == 0 && stacksim_obs::enabled();
+        let mut clock = crate::obs::PhaseClock::new(observe);
+        let mut trajectory: Vec<f64> = Vec::new();
 
         // init: r ← A·x on the slab, then r ← b − r with norm partials,
         // then z ← M⁻¹·r, then fold + convergence check, then p ← z.
@@ -1520,8 +1237,14 @@ impl System {
                 rz = c.pt_pre.whole().iter().sum();
             }
             let rel = rnorm2.sqrt() / bnorm;
+            if observe {
+                trajectory.push(rel);
+            }
             if rel < self.cfg.tolerance {
                 outcome = (true, 0, rel);
+                if observe {
+                    Self::emit_trajectory_event(0, rel, &trajectory);
+                }
                 c.stop.store(1, Ordering::Release);
             }
         }
@@ -1607,13 +1330,22 @@ impl System {
                     c.scal.range_mut(0, 2)[1] = rz_new / rz;
                     rz = rz_new;
                 }
-                // Match the serial driver exactly: it only checks at the
-                // top of the *next* iteration, so a solve that first meets
+                // Convergence is judged for iteration `k` only when a
+                // `k`-th iteration is allowed, so a solve that first meets
                 // tolerance after the final allowed update still errors.
-                let rel = rnorm2.sqrt() / bnorm;
-                if rel < self.cfg.tolerance && iter + 1 < self.cfg.max_iters {
-                    outcome = (true, iter + 1, rel);
-                    c.stop.store(1, Ordering::Release);
+                let k = iter + 1;
+                if k < self.cfg.max_iters {
+                    let rel = rnorm2.sqrt() / bnorm;
+                    if observe && k.is_power_of_two() {
+                        trajectory.push(rel);
+                    }
+                    if rel < self.cfg.tolerance {
+                        outcome = (true, k, rel);
+                        if observe {
+                            Self::emit_trajectory_event(k, rel, &trajectory);
+                        }
+                        c.stop.store(1, Ordering::Release);
+                    }
                 }
             }
             c.barrier.wait();
@@ -1705,17 +1437,9 @@ impl System {
         TemperatureField::new(self.nx, self.ny, self.names.clone(), t)
     }
 
-    /// Solves the steady-state problem.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NoConvergence`] if CG stalls.
-    pub fn steady(&self) -> Result<TemperatureField, SolveError> {
-        Ok(self.steady_with_stats()?.field)
-    }
-
-    /// Solves the steady-state problem, also reporting CG convergence
-    /// statistics (iteration count, final relative residual).
+    /// Solves the steady-state problem, reporting CG convergence
+    /// statistics (iteration count, final relative residual) with the
+    /// field.
     ///
     /// # Errors
     ///
@@ -1799,27 +1523,15 @@ impl System {
     }
 }
 
-/// Solves the stack for its steady-state temperature field (convenience
-/// wrapper around [`System::assemble`] + [`System::steady`]).
+/// Solves the stack for its steady-state temperature field with CG
+/// convergence statistics (convenience wrapper around
+/// [`System::assemble`] + [`System::steady_with_stats`]) — the experiment
+/// harness uses the statistics to attribute solver work to each run.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError`] if the stack is empty, a power map's die size
 /// disagrees with the stack footprint, or CG fails to converge.
-pub fn solve(
-    stack: &LayerStack,
-    bc: Boundary,
-    cfg: SolverConfig,
-) -> Result<TemperatureField, SolveError> {
-    System::assemble(stack, bc, cfg)?.steady()
-}
-
-/// Like [`solve`], but also reports CG convergence statistics — the
-/// experiment harness uses this to attribute solver work to each run.
-///
-/// # Errors
-///
-/// Returns [`SolveError`] under the same conditions as [`solve`].
 pub fn solve_with_stats(
     stack: &LayerStack,
     bc: Boundary,
@@ -1982,6 +1694,14 @@ mod tests {
     use crate::stack::Layer;
     use stacksim_floorplan::PowerGrid;
 
+    fn solve_field(
+        stack: &LayerStack,
+        bc: Boundary,
+        cfg: SolverConfig,
+    ) -> Result<TemperatureField, SolveError> {
+        Ok(solve_with_stats(stack, bc, cfg)?.field)
+    }
+
     #[test]
     fn builder_accepts_valid_config() {
         let cfg = SolverConfig::builder().nx(8).ny(8).build();
@@ -2060,7 +1780,7 @@ mod tests {
             h_bottom: 1e-9,
             ambient: 40.0,
         };
-        let f = solve(
+        let f = solve_field(
             &stack,
             bc,
             SolverConfig {
@@ -2096,7 +1816,7 @@ mod tests {
             ny: 6,
             ..Default::default()
         };
-        let f = solve(&stack, bc, cfg).unwrap();
+        let f = solve_field(&stack, bc, cfg).unwrap();
         let dx = 0.01 / 6.0;
         let a = dx * dx;
         let g_top = a / (2e-3 / (2.0 * 50.0) + 1.0 / 3000.0);
@@ -2121,7 +1841,7 @@ mod tests {
             h_bottom: 2000.0,
             ambient: 40.0,
         };
-        let f = solve(
+        let f = solve_field(
             &stack,
             bc,
             SolverConfig {
@@ -2145,7 +1865,7 @@ mod tests {
     fn empty_stack_is_an_error() {
         let stack = LayerStack::new(10.0, 10.0);
         assert_eq!(
-            solve(&stack, Boundary::default(), SolverConfig::default()),
+            solve_field(&stack, Boundary::default(), SolverConfig::default()),
             Err(SolveError::EmptyStack)
         );
     }
@@ -2160,7 +1880,7 @@ mod tests {
             PowerGrid::zero(4, 4, 5.0, 5.0),
         ));
         assert!(matches!(
-            solve(&stack, Boundary::default(), SolverConfig::default()),
+            solve_field(&stack, Boundary::default(), SolverConfig::default()),
             Err(SolveError::PowerMapMismatch { .. })
         ));
     }
@@ -2176,7 +1896,7 @@ mod tests {
                 h_bottom: 10.0,
                 ambient: 40.0,
             };
-            solve(
+            solve_field(
                 &stack,
                 bc,
                 SolverConfig {
@@ -2226,7 +1946,7 @@ mod tests {
                     .threads(threads)
                     .preconditioner(pre)
                     .build();
-                solve(&stack, bc, cfg).unwrap()
+                solve_field(&stack, bc, cfg).unwrap()
             };
             let bits = |f: &TemperatureField| -> Vec<u64> {
                 f.cells().iter().map(|v| v.to_bits()).collect()
@@ -2245,11 +1965,11 @@ mod tests {
 
     /// The determinism contract exercised through the worker driver
     /// directly: [`effective_workers`] clamps the public path to the
-    /// machine's cores, so on a single-core box `solve` never actually
-    /// fans out — this forces `cg_mt` through real multi-worker barrier
-    /// schedules and compares every output bit against the serial driver.
+    /// machine's cores, so on a small box a solve never fans out far —
+    /// this forces `cg_mt` through real multi-worker barrier schedules and
+    /// compares every output bit against the one-worker run.
     #[test]
-    fn forced_worker_counts_match_serial_bit_for_bit() {
+    fn forced_worker_counts_match_one_worker_bit_for_bit() {
         let (stack, bc) = layered_stack();
         for pre in [Preconditioner::Jacobi, Preconditioner::LineZ] {
             let cfg = SolverConfig::builder()
@@ -2260,23 +1980,93 @@ mod tests {
             let sys = System::assemble(&stack, bc, cfg).unwrap();
             let fac = sys.factorize(0.0);
             let x0 = vec![bc.ambient; sys.rhs.len()];
-            let (serial, sstats) = sys.cg_serial(0.0, &sys.rhs, x0.clone(), &fac).unwrap();
+            let (one, ostats) = sys.cg_mt(0.0, &sys.rhs, x0.clone(), &fac, 1).unwrap();
+            // the frozen reference solver stays the numeric oracle
+            let oracle = reference::steady_with_stats(&sys).unwrap().field;
+            for (a, b) in one.iter().zip(oracle.cells()) {
+                assert!((a - b).abs() < 1e-6, "{}: {a} vs {b}", pre.label());
+            }
             let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             for workers in [2, 3, 5] {
                 let (mt, mstats) = sys.cg_mt(0.0, &sys.rhs, x0.clone(), &fac, workers).unwrap();
                 assert_eq!(
-                    sstats.iterations,
+                    ostats.iterations,
                     mstats.iterations,
                     "{} with {workers} forced workers changed the iteration count",
                     pre.label()
                 );
                 assert_eq!(
-                    bits(&serial),
+                    bits(&one),
                     bits(&mt),
                     "{} with {workers} forced workers drifted",
                     pre.label()
                 );
             }
+        }
+    }
+
+    /// The residual-trajectory event is emitted by worker 0 — the calling
+    /// thread — at every worker count, with identical fields.
+    #[test]
+    fn trajectory_event_is_identical_at_any_forced_worker_count() {
+        use std::sync::{Arc, Mutex};
+
+        /// Keeps the trajectory lines emitted on one thread: other tests
+        /// run solves concurrently against the same process-global sink.
+        struct Capture {
+            thread: std::thread::ThreadId,
+            lines: Mutex<Vec<String>>,
+        }
+        impl stacksim_obs::EventSink for Capture {
+            fn line(&self, s: &str) {
+                if std::thread::current().id() == self.thread
+                    && s.contains(crate::obs::EVENT_TRAJECTORY)
+                {
+                    self.lines.lock().unwrap().push(s.to_string());
+                }
+            }
+        }
+        /// The event's `fields` object, without the wall-clock `t_us`.
+        fn fields(line: &str) -> &str {
+            &line[line.find("\"fields\"").expect("event carries fields")..]
+        }
+
+        let (stack, bc) = layered_stack();
+        let cfg = SolverConfig::builder()
+            .nx(8)
+            .ny(7)
+            .preconditioner(Preconditioner::LineZ)
+            .build();
+        let sys = System::assemble(&stack, bc, cfg).unwrap();
+        let fac = sys.factorize(0.0);
+        let x0 = vec![bc.ambient; sys.rhs.len()];
+        let sink = Arc::new(Capture {
+            thread: std::thread::current().id(),
+            lines: Mutex::new(Vec::new()),
+        });
+        stacksim_obs::enable();
+        stacksim_obs::set_sink(Some(sink.clone()));
+        let mut iterations = Vec::new();
+        for workers in [1, 2, 3, 5] {
+            let (_, stats) = sys.cg_mt(0.0, &sys.rhs, x0.clone(), &fac, workers).unwrap();
+            iterations.push(stats.iterations);
+        }
+        stacksim_obs::set_sink(None);
+        stacksim_obs::disable();
+
+        let lines = sink.lines.lock().unwrap();
+        assert_eq!(lines.len(), 4, "one trajectory event per solve: {lines:?}");
+        let one = fields(&lines[0]);
+        assert!(
+            one.contains(&format!("\"iters\":{}", iterations[0])),
+            "{one}"
+        );
+        // iteration 0 plus every power of two up to the final count
+        let samples = 1 + (usize::BITS - iterations[0].leading_zeros()) as usize;
+        let listed = one.split("\"samples\":\"").nth(1).expect("samples field");
+        assert_eq!(listed.split(',').count(), samples, "{one}");
+        for (line, workers) in lines.iter().zip([1, 2, 3, 5]).skip(1) {
+            assert_eq!(fields(line), one, "{workers} workers changed the event");
         }
     }
 
@@ -2358,7 +2148,7 @@ mod tests {
     #[test]
     fn transient_converges_to_steady_state() {
         let (stack, bc, cfg) = transient_stack();
-        let steady = solve(&stack, bc, cfg).unwrap().peak();
+        let steady = solve_field(&stack, bc, cfg).unwrap().peak();
         let (traj, final_field) = solve_transient(&stack, bc, cfg, 0.05, 500).unwrap();
         for w in traj.windows(2) {
             assert!(w[1].peak_c >= w[0].peak_c - 1e-9, "monotone heating");
@@ -2377,7 +2167,7 @@ mod tests {
     #[test]
     fn transient_starts_cold() {
         let (stack, bc, cfg) = transient_stack();
-        let steady = solve(&stack, bc, cfg).unwrap().peak();
+        let steady = solve_field(&stack, bc, cfg).unwrap().peak();
         let (traj, _) = solve_transient(&stack, bc, cfg, 1e-4, 3).unwrap();
         assert!(
             traj[0].peak_c < 40.0 + 0.5 * (steady - 40.0),

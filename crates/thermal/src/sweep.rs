@@ -79,26 +79,7 @@ pub struct SweepPoint {
 
 /// Sweeps one layer's thermal conductivity and records the peak temperature
 /// at each point — the Fig. 3 experiment for the "Cu metal layers" and
-/// "Bonding layer" curves.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-///
-/// # Panics
-///
-/// Panics if `layer` names no layer in the stack.
-pub fn conductivity_sweep(
-    stack: &LayerStack,
-    layer: &str,
-    ks: &[f64],
-    bc: Boundary,
-    cfg: SolverConfig,
-) -> Result<Vec<SweepPoint>, SolveError> {
-    Ok(conductivity_sweep_stats(stack, layer, ks, bc, cfg)?.0)
-}
-
-/// [`conductivity_sweep`], also returning the accumulated CG statistics
+/// "Bonding layer" curves — together with the accumulated CG statistics
 /// of every solve in the sweep.
 ///
 /// # Errors
@@ -112,53 +93,17 @@ pub fn conductivity_sweep_stats(
     bc: Boundary,
     cfg: SolverConfig,
 ) -> Result<(Vec<SweepPoint>, SolveStats), SolveError> {
-    let mut out = Vec::with_capacity(ks.len());
-    let mut stats = SolveStats::default();
-    let mut hist: Vec<(f64, TemperatureField)> = Vec::new();
-    for &k in ks {
-        let swept = stack.with_layer_conductivity(layer, k)?;
-        let guess = warm_guess(&hist, k);
-        let sol = solve_point(&swept, bc, cfg, guess.as_ref())?;
-        stats.absorb(sol.stats);
-        out.push(SweepPoint {
-            k,
-            peak_c: sol.field.peak(),
-        });
-        remember(&mut hist, k, sol.field);
-    }
-    Ok((out, stats))
+    conductivity_sweep_multi_stats(stack, &[layer], ks, bc, cfg)
 }
 
 /// Sweeps several layers' conductivities together — Fig. 3's "Cu metal
-/// layers" curve varies the metal stacks of *both* dies at once.
+/// layers" curve varies the metal stacks of *both* dies at once — and
+/// returns the accumulated CG statistics of every solve in the sweep.
 ///
 /// # Errors
 ///
-/// Propagates the first solver failure.
-///
-/// # Panics
-///
-/// Panics if any name is missing from the stack.
-pub fn conductivity_sweep_multi(
-    stack: &LayerStack,
-    layers: &[&str],
-    ks: &[f64],
-    bc: Boundary,
-    cfg: SolverConfig,
-) -> Result<Vec<SweepPoint>, SolveError> {
-    Ok(conductivity_sweep_multi_stats(stack, layers, ks, bc, cfg)?.0)
-}
-
-/// [`conductivity_sweep_multi`], also returning the accumulated CG
-/// statistics of every solve in the sweep.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-///
-/// # Panics
-///
-/// Panics if any name is missing from the stack.
+/// Propagates the first solver failure, including
+/// [`SolveError::UnknownLayer`] for a bad layer name.
 pub fn conductivity_sweep_multi_stats(
     stack: &LayerStack,
     layers: &[&str],
@@ -221,7 +166,8 @@ mod tests {
             ny: 4,
             ..Default::default()
         };
-        let pts = conductivity_sweep(&stack(), "metal", &[60.0, 12.0, 3.0], bc, cfg).unwrap();
+        let (pts, _) =
+            conductivity_sweep_stats(&stack(), "metal", &[60.0, 12.0, 3.0], bc, cfg).unwrap();
         assert_eq!(pts.len(), 3);
         assert!(pts[0].peak_c < pts[1].peak_c);
         assert!(pts[1].peak_c < pts[2].peak_c);

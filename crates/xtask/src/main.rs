@@ -1,248 +1,21 @@
 //! Repository automation (`cargo xtask <task>`).
 //!
-//! * **`lint`** — the unwrap ratchet: no *new* `unwrap`/`expect` calls
-//!   outside `#[cfg(test)]` blocks. Existing calls are recorded in
-//!   `lint-baseline.txt` at the repo root; the count per file may only go
-//!   down. Shrink it with `cargo xtask lint --update-baseline` after
-//!   converting call sites to `Result`. The scanner is deliberately
-//!   textual (no syn, no new dependencies): it strips `//` comments,
-//!   tracks brace depth to skip `#[cfg(test)]` modules, and never matches
-//!   the `_or`/`_or_else`/`_or_default` and `_err` variants, which are
-//!   fine.
 //! * **`audit`** — the six SA-coded determinism & concurrency passes from
 //!   `stacksim-audit` (map-iteration order into digests, wall-clock
 //!   taint, unordered float reductions, lock-order cycles, relaxed
-//!   atomics, panic paths), ratcheted against `audit-baseline.txt`. The
-//!   old textual map-iteration heuristic that used to live here was
-//!   replaced by the audit's intra-procedural SA001 pass.
+//!   atomics, panic paths), ratcheted against `audit-baseline.txt`.
 //! * **`loom`** — the exhaustive interleaving models from
 //!   `stacksim-modelcheck` (spin barrier, session dedup slots), which are
 //!   too slow for the default `cargo test` profile.
+//!
+//! The `unwrap`/`expect` ban on non-test code is a clippy lint, not a
+//! task here: `cargo clippy --workspace --lib --bins -- -D warnings
+//! -D clippy::unwrap_used -D clippy::expect_used`.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use stacksim_lint::Severity;
-
-/// One ratchet finding: an `unwrap`/`expect` call outside tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Finding {
-    line: usize,
-    kind: &'static str,
-    text: String,
-}
-
-/// The needles are assembled at runtime so the scanner never matches its
-/// own source (which is excluded from the walk anyway, but belt and
-/// braces).
-fn needles() -> [(String, &'static str); 2] {
-    [
-        ([".un", "wrap("].concat(), "unwrap"),
-        ([".ex", "pect("].concat(), "expect"),
-    ]
-}
-
-/// Strips a `//` comment from one line, respecting string literals well
-/// enough for this codebase (no multi-line strings in scanned positions).
-fn strip_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == b'\\' {
-                escaped = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-        } else if c == b'"' {
-            in_str = true;
-        } else if c == b'\'' && i + 2 < bytes.len() && bytes[i + 2] == b'\'' {
-            // simple char literal like '"'
-            i += 2;
-        } else if c == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
-            return &line[..i];
-        }
-        i += 1;
-    }
-    line
-}
-
-fn brace_delta(line: &str) -> i64 {
-    let mut delta = 0;
-    for c in line.chars() {
-        match c {
-            '{' => delta += 1,
-            '}' => delta -= 1,
-            _ => {}
-        }
-    }
-    delta
-}
-
-/// Marks each line as test code (inside a `#[cfg(test)]` module or item)
-/// or not.
-fn test_mask(lines: &[&str]) -> Vec<bool> {
-    let mut mask = vec![false; lines.len()];
-    let mut depth: i64 = 0;
-    let mut skip_until: Option<i64> = None;
-    let mut pending_cfg_test = false;
-    for (i, raw) in lines.iter().enumerate() {
-        let line = strip_comment(raw);
-        if let Some(until) = skip_until {
-            mask[i] = true;
-            depth += brace_delta(line);
-            if depth <= until {
-                skip_until = None;
-            }
-            continue;
-        }
-        if line.contains("#[cfg(test)]") {
-            pending_cfg_test = true;
-            mask[i] = true;
-            depth += brace_delta(line);
-            continue;
-        }
-        if pending_cfg_test {
-            mask[i] = true;
-            let before = depth;
-            depth += brace_delta(line);
-            if depth > before {
-                // the guarded item opened its block
-                skip_until = Some(before);
-                pending_cfg_test = false;
-            } else if line.trim().ends_with(';') {
-                // a guarded one-liner (`mod tests;`, `use ...;`)
-                pending_cfg_test = false;
-            }
-            continue;
-        }
-        depth += brace_delta(line);
-    }
-    mask
-}
-
-/// Scans one file's source for `unwrap`/`expect` calls outside tests.
-fn scan_ratchet(source: &str) -> Vec<Finding> {
-    let lines: Vec<&str> = source.lines().collect();
-    let mask = test_mask(&lines);
-    let needles = needles();
-    let mut out = Vec::new();
-    for (i, raw) in lines.iter().enumerate() {
-        if mask[i] || raw.contains("lint:allow(unwrap)") {
-            continue;
-        }
-        let line = strip_comment(raw);
-        for (needle, kind) in &needles {
-            if line.contains(needle.as_str()) {
-                out.push(Finding {
-                    line: i + 1,
-                    kind,
-                    text: raw.trim().to_string(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Collects the non-test source trees to scan: `src/` and every
-/// `crates/*/src/` except `crates/xtask` (this tool's own source holds the
-/// needle fragments as data).
-fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut dirs = vec![root.join("src")];
-    for entry in std::fs::read_dir(root.join("crates"))? {
-        let path = entry?.path();
-        if path.is_dir() && path.file_name().is_some_and(|n| n != "xtask") {
-            dirs.push(path.join("src"));
-        }
-    }
-    let mut files = Vec::new();
-    while let Some(dir) = dirs.pop() {
-        if !dir.is_dir() {
-            continue;
-        }
-        for entry in std::fs::read_dir(&dir)? {
-            let path = entry?.path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                files.push(path);
-            }
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
-/// Parses `lint-baseline.txt`: `<count> <path>` per line.
-fn parse_baseline(text: &str) -> Vec<(String, usize)> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-        .filter_map(|l| {
-            let mut parts = l.split_whitespace();
-            let count: usize = parts.next()?.parse().ok()?;
-            let path = parts.next()?.to_string();
-            Some((path, count))
-        })
-        .collect()
-}
-
-fn render_baseline(counts: &[(String, usize)]) -> String {
-    let mut out = String::from(
-        "# unwrap/expect ratchet baseline: `<count> <file>` of calls outside tests.\n\
-         # Counts may only decrease; regenerate with `cargo xtask lint --update-baseline`.\n",
-    );
-    for (path, count) in counts {
-        let _ = writeln!(out, "{count} {path}");
-    }
-    out
-}
-
-/// Compares fresh per-file counts against the baseline. Returns
-/// human-readable problems; empty means the ratchet holds exactly.
-fn compare_to_baseline(
-    current: &[(String, Vec<Finding>)],
-    baseline: &[(String, usize)],
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    for (path, findings) in current {
-        let allowed = baseline
-            .iter()
-            .find(|(p, _)| p == path)
-            .map_or(0, |(_, c)| *c);
-        if findings.len() > allowed {
-            let mut msg = format!(
-                "{path}: {} unwrap/expect call(s), baseline allows {allowed}:",
-                findings.len()
-            );
-            for f in findings {
-                let _ = write!(msg, "\n  line {}: [{}] {}", f.line, f.kind, f.text);
-            }
-            problems.push(msg);
-        } else if findings.len() < allowed {
-            problems.push(format!(
-                "{path}: baseline is stale ({allowed} allowed, {} present); \
-                 run `cargo xtask lint --update-baseline` to ratchet down",
-                findings.len()
-            ));
-        }
-    }
-    for (path, allowed) in baseline {
-        if *allowed > 0 && !current.iter().any(|(p, _)| p == path) {
-            problems.push(format!(
-                "{path}: in the baseline ({allowed} allowed) but no longer scanned; \
-                 run `cargo xtask lint --update-baseline`"
-            ));
-        }
-    }
-    problems
-}
 
 fn repo_root() -> PathBuf {
     // crates/xtask -> crates -> repo root
@@ -250,62 +23,6 @@ fn repo_root() -> PathBuf {
         .ancestors()
         .nth(2)
         .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
-}
-
-fn lint(update_baseline: bool) -> Result<bool, String> {
-    let root = repo_root();
-    let files = collect_sources(&root).map_err(|e| format!("walking sources: {e}"))?;
-
-    let mut current: Vec<(String, Vec<Finding>)> = Vec::new();
-    for file in &files {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-        let rel = file
-            .strip_prefix(&root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let findings = scan_ratchet(&text);
-        if !findings.is_empty() {
-            current.push((rel, findings));
-        }
-    }
-
-    let baseline_path = root.join("lint-baseline.txt");
-    if update_baseline {
-        let counts: Vec<(String, usize)> =
-            current.iter().map(|(p, f)| (p.clone(), f.len())).collect();
-        std::fs::write(&baseline_path, render_baseline(&counts))
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        println!(
-            "baseline updated: {} file(s), {} call(s)",
-            counts.len(),
-            counts.iter().map(|(_, c)| c).sum::<usize>()
-        );
-        return Ok(true);
-    }
-
-    let baseline_text = std::fs::read_to_string(&baseline_path).map_err(|e| {
-        format!(
-            "{}: {e} (run `cargo xtask lint --update-baseline` once)",
-            baseline_path.display()
-        )
-    })?;
-    let baseline = parse_baseline(&baseline_text);
-    let mut ok = true;
-
-    for problem in compare_to_baseline(&current, &baseline) {
-        eprintln!("ratchet: {problem}");
-        ok = false;
-    }
-
-    if ok {
-        let total: usize = current.iter().map(|(_, f)| f.len()).sum();
-        println!(
-            "lint clean: {} source file(s), ratchet at {total} grandfathered call(s)",
-            files.len()
-        );
-    }
-    Ok(ok)
 }
 
 /// Runs the six SA-coded audit passes and ratchets the error-severity
@@ -362,22 +79,6 @@ fn main() -> ExitCode {
         None => ("", &args[..]),
     };
     match task {
-        "lint" => {
-            let update = rest.iter().any(|a| a == "--update-baseline");
-            let unknown: Vec<&String> = rest.iter().filter(|a| *a != "--update-baseline").collect();
-            if !unknown.is_empty() {
-                eprintln!("xtask lint: unknown option(s) {unknown:?}");
-                return ExitCode::from(2);
-            }
-            match lint(update) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("xtask: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         "audit" => {
             let update = rest.iter().any(|a| a == "--update-baseline");
             let mut json = false;
@@ -430,84 +131,10 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint|audit> [--update-baseline] [--format json|pretty]\n\
+                "usage: cargo xtask audit [--update-baseline] [--format json|pretty]\n\
                  \x20      cargo xtask loom"
             );
             ExitCode::from(2)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn finds_unwrap_and_expect_outside_tests() {
-        let src = "fn f() {\n    let x = g().unwrap();\n    let y = h().expect(\"boom\");\n}\n";
-        let found = scan_ratchet(src);
-        assert_eq!(found.len(), 2);
-        assert_eq!(found[0].kind, "unwrap");
-        assert_eq!(found[0].line, 2);
-        assert_eq!(found[1].kind, "expect");
-    }
-
-    #[test]
-    fn ignores_test_modules_fallbacks_and_comments() {
-        let src = "\
-fn f() {
-    let a = g().unwrap_or_else(|e| e.into_inner());
-    let b = g().unwrap_or_default();
-    // calling .unwrap() here would be bad
-    let c = o.expect_err(\"must fail\");
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        g().unwrap();
-        h().expect(\"fine in tests\");
-    }
-}
-";
-        assert!(scan_ratchet(src).is_empty());
-    }
-
-    #[test]
-    fn waiver_comment_suppresses_a_line() {
-        let src = "fn f() {\n    g().unwrap(); // lint:allow(unwrap) poisoning is unrecoverable here\n}\n";
-        assert!(scan_ratchet(src).is_empty());
-    }
-
-    #[test]
-    fn a_new_unwrap_fails_against_the_baseline() {
-        // the scenario the ratchet exists for: someone adds an unwrap to a
-        // clean file
-        let src = "fn f() {\n    g().unwrap();\n}\n";
-        let current = vec![("crates/foo/src/lib.rs".to_string(), scan_ratchet(src))];
-        let baseline: Vec<(String, usize)> = Vec::new();
-        let problems = compare_to_baseline(&current, &baseline);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("baseline allows 0"));
-    }
-
-    #[test]
-    fn grandfathered_counts_pass_and_stale_baselines_fail() {
-        let src = "fn f() {\n    g().unwrap();\n}\n";
-        let current = vec![("a.rs".to_string(), scan_ratchet(src))];
-        let exact = vec![("a.rs".to_string(), 1)];
-        assert!(compare_to_baseline(&current, &exact).is_empty());
-
-        let stale = vec![("a.rs".to_string(), 5)];
-        let problems = compare_to_baseline(&current, &stale);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("stale"));
-    }
-
-    #[test]
-    fn baseline_round_trips() {
-        let counts = vec![("a.rs".to_string(), 3), ("b/c.rs".to_string(), 1)];
-        assert_eq!(parse_baseline(&render_baseline(&counts)), counts);
     }
 }

@@ -8,7 +8,7 @@
 
 use stacksim::floorplan::core2::core2_duo_92w;
 use stacksim::floorplan::uniform_die;
-use stacksim::thermal::{solve, Boundary, LayerStack, SolverConfig};
+use stacksim::thermal::{solve_with_stats, Boundary, LayerStack, SolverConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cpu = core2_duo_92w();
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stack.total_power()
     );
 
-    let field = solve(&stack, Boundary::desktop(), cfg)?;
+    let field = solve_with_stats(&stack, Boundary::desktop(), cfg)?.field;
     for (i, layer) in stack.layers().iter().enumerate() {
         println!(
             "  {:>12}: {:>7.1} um  k={:>5.0} W/mK   T = {:.2}..{:.2} C{}",
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let degraded = stack
         .with_layer_conductivity("bond", 3.0)
         .expect("bond layer exists");
-    let worse = solve(&degraded, Boundary::desktop(), cfg)?;
+    let worse = solve_with_stats(&degraded, Boundary::desktop(), cfg)?.field;
     println!(
         "bond layer at 3 W/mK instead of 60: peak {:.2} C ({:+.2} C)",
         worse.peak(),

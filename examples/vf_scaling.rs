@@ -10,7 +10,7 @@
 use stacksim::core::logic_logic::folded_p4;
 use stacksim::floorplan::p4::pentium4_147w;
 use stacksim::power::scaling::{OperatingPoint, ScalingModel};
-use stacksim::thermal::{solve, Boundary, LayerStack, SolverConfig};
+use stacksim::thermal::{solve_with_stats, Boundary, LayerStack, SolverConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = ScalingModel::fig11_3d();
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nominal_power = folded.total_power();
 
     // the planar reference temperature the "Same Temp" row targets
-    let planar_field = solve(
+    let planar_field = solve_with_stats(
         &LayerStack::planar(
             planar.width(),
             planar.height(),
@@ -31,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         Boundary::performance(),
         cfg,
-    )?;
+    )?
+    .field;
     println!(
         "planar reference: 147.0 W, {:.1} C peak",
         planar_field.peak()
@@ -60,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 d1.power_grid(cfg.nx, cfg.ny).scaled(scale),
                 false,
             );
-            solve(&stack, bc, cfg)?
+            solve_with_stats(&stack, bc, cfg)?.field
         };
         let marker = if (field.peak() - planar_field.peak()).abs() < 1.5 {
             "  <- thermally neutral"

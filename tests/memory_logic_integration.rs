@@ -2,7 +2,7 @@
 //! spanning `stacksim-workloads`, `stacksim-trace`, `stacksim-mem` and
 //! `stacksim-core`.
 
-use stacksim::core::memory_logic::run_benchmark;
+use stacksim::core::memory_logic::run_benchmark_instrumented;
 use stacksim::core::StackOption;
 use stacksim::mem::{Engine, EngineConfig, MemoryHierarchy, ServiceLevel};
 use stacksim::trace::{CpuId, MemOp, TraceStats};
@@ -12,7 +12,7 @@ use stacksim::workloads::{RmsBenchmark, WorkloadParams};
 fn every_benchmark_runs_on_every_stack_option() {
     let params = WorkloadParams::test();
     for benchmark in RmsBenchmark::all() {
-        let row = run_benchmark(benchmark, &params).unwrap();
+        let (row, _) = run_benchmark_instrumented(benchmark, &params).unwrap();
         for (i, option) in StackOption::all().iter().enumerate() {
             assert!(
                 row.cpma[i] >= 0.4 && row.cpma[i] < 500.0,
@@ -33,7 +33,7 @@ fn cpma_floor_is_half_a_cycle_for_two_threads() {
     // the warm-up boundary lets a little issue overlap leak across the
     // measurement window, so allow a few percent of slack
     let params = WorkloadParams::test();
-    let row = run_benchmark(RmsBenchmark::SAvdf, &params).unwrap();
+    let (row, _) = run_benchmark_instrumented(RmsBenchmark::SAvdf, &params).unwrap();
     for c in row.cpma {
         assert!(c >= 0.45, "cpma {c} cannot beat the issue floor");
     }
@@ -97,16 +97,18 @@ fn stacked_hierarchy_serves_from_the_stacked_level() {
 
 #[test]
 fn capacity_sensitive_benchmarks_improve_with_the_stack_at_paper_scale() {
-    // one paper-scale spot check (the full sweep lives in the fig5 binary):
+    // one paper-scale spot check (the full sweep is `stacksim run fig5`):
     // gauss must improve dramatically from 4 MB to 32 MB
-    let row = run_benchmark(RmsBenchmark::Gauss, &WorkloadParams::paper()).unwrap();
+    let (row, _) =
+        run_benchmark_instrumented(RmsBenchmark::Gauss, &WorkloadParams::paper()).unwrap();
     assert!(
         row.cpma_reduction(2) > 0.3,
         "gauss @32MB reduction {:.2}",
         row.cpma_reduction(2)
     );
     // and the insensitive dSym must stay within noise
-    let flat = run_benchmark(RmsBenchmark::DSym, &WorkloadParams::paper()).unwrap();
+    let (flat, _) =
+        run_benchmark_instrumented(RmsBenchmark::DSym, &WorkloadParams::paper()).unwrap();
     assert!(
         flat.cpma_reduction(2).abs() < 0.15,
         "dSym @32MB reduction {:.2}",

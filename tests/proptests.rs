@@ -11,7 +11,7 @@ use stacksim::mem::{
     Bus, BusConfig, Cache, CacheConfig, DramArray, DramConfig, DramTiming, Engine, EngineConfig,
     HierarchyConfig, Lookup, MemoryHierarchy,
 };
-use stacksim::thermal::{solve, Boundary, Layer, LayerStack, SolverConfig};
+use stacksim::thermal::{solve_with_stats, Boundary, Layer, LayerStack, SolverConfig};
 use stacksim::trace::{read_trace, write_trace, CpuId, MemOp, TraceBuilder};
 use stacksim_rng::StdRng;
 
@@ -254,7 +254,7 @@ fn thermal_solution_is_bounded() {
             ambient: 40.0,
         };
         let cfg = SolverConfig::builder().nx(3).ny(3).build();
-        let f = solve(&stack, bc, cfg).unwrap();
+        let f = solve_with_stats(&stack, bc, cfg).unwrap().field;
         assert!(f.min() >= 40.0 - 1e-6, "below ambient: {}", f.min());
         // lumped upper bound: all power through the weakest single-cell path
         let cell_area = (3e-3f64) * (3e-3);

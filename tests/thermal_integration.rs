@@ -1,12 +1,12 @@
 //! Integration: floorplans → power grids → thermal solver, spanning
 //! `stacksim-floorplan`, `stacksim-thermal` and `stacksim-core`.
 
-use stacksim::core::memory_logic::{fig6, fig8, thermal_stack};
+use stacksim::core::memory_logic::{fig6_with, fig8_with, thermal_stack};
 use stacksim::core::StackOption;
 use stacksim::floorplan::core2::core2_duo_92w;
 use stacksim::floorplan::p4::pentium4_147w;
 use stacksim::floorplan::{fold, worst_case_stack, FoldOptions};
-use stacksim::thermal::{solve, Boundary, LayerStack, SolverConfig};
+use stacksim::thermal::{solve_with_stats, Boundary, LayerStack, SolverConfig};
 
 fn quick_cfg() -> SolverConfig {
     SolverConfig::builder().nx(20).ny(17).build()
@@ -14,7 +14,7 @@ fn quick_cfg() -> SolverConfig {
 
 #[test]
 fn fig8_reproduces_the_papers_ordering_and_magnitudes() {
-    let points = fig8().unwrap();
+    let (points, _) = fig8_with(SolverConfig::default()).unwrap();
     let peaks: Vec<f64> = points.iter().map(|p| p.peak_c).collect();
     // paper: 88.35 / 92.85 / 88.43 / 90.27
     assert!((peaks[0] - 88.35).abs() < 1.2, "baseline {:.2}", peaks[0]);
@@ -27,7 +27,7 @@ fn fig8_reproduces_the_papers_ordering_and_magnitudes() {
 
 #[test]
 fn fig6_hotspots_sit_over_the_cores_not_the_cache() {
-    let (_, field) = fig6().unwrap();
+    let ((_, field), _) = fig6_with(SolverConfig::default()).unwrap();
     let active = field
         .layer_names()
         .iter()
@@ -77,7 +77,10 @@ fn stacking_a_hot_die_is_worse_than_a_cool_die() {
             top.power_grid(cfg.nx, cfg.ny),
             false,
         );
-        solve(&stack, Boundary::desktop(), cfg).unwrap().peak()
+        solve_with_stats(&stack, Boundary::desktop(), cfg)
+            .unwrap()
+            .field
+            .peak()
     };
     let cool = run(3.0);
     let hot = run(20.0);
@@ -101,7 +104,7 @@ fn folded_p4_stays_well_below_the_worst_case() {
             d1.power_grid(cfg.nx, cfg.ny),
             false,
         );
-        solve(&stack, bc, cfg).unwrap().peak()
+        solve_with_stats(&stack, bc, cfg).unwrap().field.peak()
     };
     let repaired = solve_stack(&folded);
     let worst = solve_stack(&wc);
@@ -119,7 +122,10 @@ fn solver_grid_refinement_converges() {
     let run = |nx: usize, ny: usize| {
         let cfg = SolverConfig::builder().nx(nx).ny(ny).build();
         let stack = LayerStack::planar(cpu.width(), cpu.height(), cpu.power_grid(nx, ny));
-        solve(&stack, Boundary::desktop(), cfg).unwrap().peak()
+        solve_with_stats(&stack, Boundary::desktop(), cfg)
+            .unwrap()
+            .field
+            .peak()
     };
     let coarse = run(20, 17);
     let fine = run(40, 34);
