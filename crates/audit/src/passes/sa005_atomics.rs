@@ -53,12 +53,6 @@ const DECLARED: &[(&str, &str, &str)] = &[
         "monotonic stats counter; read only by stats(), no data guarded",
     ),
     (
-        "faults/src/lib.rs",
-        "ARMED",
-        "fast-path gate; the plan itself is read under the STATE mutex, \
-         which synchronises",
-    ),
-    (
         "obs/src/lib.rs",
         "ENABLED",
         "fast-path gate; instruments re-check under the registry mutex",

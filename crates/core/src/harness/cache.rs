@@ -33,7 +33,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
+use stacksim_faults::Fault;
+
 use super::artifact::Artifact;
+use super::resilience;
 use crate::error::Error;
 
 /// A directory of memoized artifacts, or a disabled no-op cache.
@@ -281,20 +284,15 @@ impl MemoCache {
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(Error::io(path, e)),
         };
-        if stacksim_faults::armed() {
-            use super::resilience;
-            match stacksim_faults::check(resilience::SITE_CACHE_LOAD, name) {
-                // corrupt only the in-memory copy: the on-disk file stays
-                // intact for the quarantine path to move
-                Some(stacksim_faults::Fault::Corrupt) => {
-                    text.insert_str(0, "#injected-corruption\n");
-                }
-                Some(stacksim_faults::Fault::Truncate) => text.clear(),
-                Some(stacksim_faults::Fault::IoTransient) => {
-                    return Err(resilience::injected_io(resilience::SITE_CACHE_LOAD, name));
-                }
-                _ => {}
+        match stacksim_faults::check(resilience::SITE_CACHE_LOAD, name) {
+            // corrupt only the in-memory copy: the on-disk file stays
+            // intact for the quarantine path to move
+            Some(Fault::Corrupt) => text.insert_str(0, "#injected-corruption\n"),
+            Some(Fault::Truncate) => text.clear(),
+            Some(Fault::IoTransient) => {
+                return Err(resilience::injected_io(resilience::SITE_CACHE_LOAD, name));
             }
+            _ => {}
         }
         if text.is_empty() {
             fs::remove_file(&path).map_err(|e| Error::io(path, e))?;
@@ -360,13 +358,8 @@ impl MemoCache {
         let Some(path) = self.path_for(name, digest)? else {
             return Ok(());
         };
-        if stacksim_faults::armed() {
-            use super::resilience;
-            if let Some(stacksim_faults::Fault::IoTransient) =
-                stacksim_faults::check(resilience::SITE_CACHE_STORE, name)
-            {
-                return Err(resilience::injected_io(resilience::SITE_CACHE_STORE, name));
-            }
+        if stacksim_faults::check(resilience::SITE_CACHE_STORE, name) == Some(Fault::IoTransient) {
+            return Err(resilience::injected_io(resilience::SITE_CACHE_STORE, name));
         }
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent).map_err(|e| Error::io(parent.to_path_buf(), e))?;

@@ -195,24 +195,19 @@ impl RequestJournal {
         let mut line = Json::obj(obj).encode();
         line.push('\n');
 
-        if stacksim_faults::armed() {
-            match stacksim_faults::check(SITE_SESSION_JOURNAL, ev) {
-                Some(Fault::IoTransient) => {
-                    return Err(injected_io(SITE_SESSION_JOURNAL, ev));
-                }
-                Some(Fault::Stall { ms }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                // a journal that lies: the bytes land mangled, and the
-                // *next* recovery must skip them without failing
-                Some(Fault::Corrupt) => {
-                    line = format!("#corrupt#{line}");
-                }
-                Some(Fault::Truncate) => {
-                    line.truncate(line.len() / 2);
-                }
-                _ => {}
+        match stacksim_faults::check(SITE_SESSION_JOURNAL, ev) {
+            Some(Fault::IoTransient) => {
+                return Err(injected_io(SITE_SESSION_JOURNAL, ev));
             }
+            // a journal that lies: the bytes land mangled, and the
+            // *next* recovery must skip them without failing
+            Some(Fault::Corrupt) => {
+                line = format!("#corrupt#{line}");
+            }
+            Some(Fault::Truncate) => {
+                line.truncate(line.len() / 2);
+            }
+            _ => {}
         }
 
         let mut file = self.lock();

@@ -192,17 +192,10 @@ pub(super) fn injected_io(site: &str, key: &str) -> Error {
 /// the runner's `catch_unwind` turns it into
 /// [`Error::WorkerPanic`].
 pub(super) fn dispatch_fault(experiment: &str) -> Result<(), Error> {
-    if !stacksim_faults::armed() {
-        return Ok(());
-    }
     match stacksim_faults::check(SITE_DISPATCH, experiment) {
         // audit:allow(SA006) the injected panic is the product: the runner's
         // catch_unwind must observe a real unwind to exercise recovery
         Some(Fault::Panic) => panic!("injected panic in experiment '{experiment}'"),
-        Some(Fault::Stall { ms }) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            Ok(())
-        }
         Some(Fault::IoTransient) => Err(injected_io(SITE_DISPATCH, experiment)),
         _ => Ok(()),
     }

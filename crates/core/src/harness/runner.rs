@@ -390,9 +390,14 @@ impl Runner {
         };
         let workers = jobs.min(total.max(1));
 
+        // workers inherit the caller's fault plan, so one schedule covers
+        // the whole run however it fans out
+        let faults = stacksim_faults::current();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| self.worker(&state, &cv));
+                scope.spawn(|| {
+                    stacksim_faults::scope(faults.as_ref(), || self.worker(&state, &cv));
+                });
             }
         });
 

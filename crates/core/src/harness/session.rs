@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use stacksim_faults::FaultPlan;
+use stacksim_faults::{FaultPlan, Faults};
 use stacksim_workloads::{Scale, WorkloadParams};
 
 use super::artifact::Artifact;
@@ -459,10 +459,9 @@ struct Inner {
     cache: MemoCache,
     preflight: bool,
     resilience: Resilience,
-    fault_plan: Option<FaultPlan>,
-    /// A plan the *caller* armed process-wide (network chaos) that must
-    /// be restored — not disarmed — after an opted-in batch.
-    ambient_plan: Option<FaultPlan>,
+    /// The session's one fault schedule: in scope around opted-in
+    /// batches and journal appends, so its counters span the session.
+    faults: Option<Faults>,
     /// Admission bound: submissions that would push the queued+running
     /// count past this are shed with [`Error::Overloaded`].
     max_pending: Option<usize>,
@@ -506,7 +505,6 @@ pub struct SimBuilder {
     preflight: bool,
     resilience: Resilience,
     fault_plan: Option<FaultPlan>,
-    ambient_plan: Option<FaultPlan>,
     max_pending: Option<usize>,
     journal: Option<Arc<super::journal::RequestJournal>>,
     start_paused: bool,
@@ -522,7 +520,6 @@ impl Default for SimBuilder {
             preflight: true,
             resilience: Resilience::default(),
             fault_plan: None,
-            ambient_plan: None,
             max_pending: None,
             journal: None,
             start_paused: false,
@@ -573,25 +570,13 @@ impl SimBuilder {
         self
     }
 
-    /// The fault plan armed around requests that opt in via
-    /// [`ExperimentRequest::faults`]. Without one, opted-in requests run
-    /// clean.
+    /// The fault plan in scope around requests that opt in via
+    /// [`ExperimentRequest::faults`] and around journal appends. It is
+    /// armed once, so `times`/`after` windows count over the session's
+    /// lifetime. Without one, opted-in requests run clean.
     #[must_use]
     pub fn fault_plan(mut self, plan: impl Into<Option<FaultPlan>>) -> Self {
         self.fault_plan = plan.into();
-        self
-    }
-
-    /// A plan the caller armed process-wide *before* building the
-    /// session (network-level chaos: `serve.*` / `session.*` rules).
-    /// After an opted-in batch the scheduler re-arms this plan instead
-    /// of disarming the fault plane, so ambient rules stay live for the
-    /// session's whole lifetime. Rule evaluation counters reset at each
-    /// re-arm; ambient plans should use `prob` or unlimited-`times`
-    /// rules, which are insensitive to that.
-    #[must_use]
-    pub fn ambient_fault_plan(mut self, plan: impl Into<Option<FaultPlan>>) -> Self {
-        self.ambient_plan = plan.into();
         self
     }
 
@@ -638,8 +623,7 @@ impl SimBuilder {
             cache: self.cache,
             preflight: self.preflight,
             resilience: self.resilience,
-            fault_plan: self.fault_plan,
-            ambient_plan: self.ambient_plan,
+            faults: self.fault_plan.map(Faults::new),
             max_pending: self.max_pending,
             journal: self.journal,
             state: Mutex::new(SchedState {
@@ -704,6 +688,12 @@ impl Sim {
     /// The base workload parameters requests resolve against.
     pub fn base_params(&self) -> WorkloadParams {
         self.inner.base
+    }
+
+    /// The session's armed fault plan, for callers that serve its
+    /// network sites (`serve.*`) or report its injected count.
+    pub fn faults(&self) -> Option<&Faults> {
+        self.inner.faults.as_ref()
     }
 
     /// Submits a request and returns its handle immediately.
@@ -796,7 +786,7 @@ impl Sim {
         // durability is best-effort: a failed append (disk gone, or the
         // session.journal fault site) degrades recovery, not the request
         if let Some(journal) = &self.inner.journal {
-            let _ = journal.record_accepted(id, request);
+            let _ = stacksim_faults::scope(self.faults(), || journal.record_accepted(id, request));
         }
         self.inner.work.notify_all();
         Ok(RequestHandle { slot })
@@ -925,7 +915,6 @@ fn scheduler_loop(inner: &Inner) {
             run_batch(inner, &batch);
         }));
         if run.is_err() {
-            restore_fault_plane(inner);
             for slot in &batch {
                 if matches!(&*slot.lock(), SlotState::Done(_)) {
                     continue;
@@ -961,8 +950,9 @@ fn scheduler_loop(inner: &Inner) {
     }
 }
 
-/// Runs one batch through a [`Runner`], arming the session fault plan
-/// around it when the batch opted in, and publishes per-slot outcomes.
+/// Runs one batch through a [`Runner`], with the session fault plan in
+/// scope when the batch opted in (and no plan otherwise), and publishes
+/// per-slot outcomes.
 fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
     let Some(head) = batch.first() else {
         return;
@@ -988,23 +978,8 @@ fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
         .build();
     let runner = Runner::new(inner.registry.clone(), options);
 
-    // batches run serially on this one scheduler thread, so arming the
-    // process-global fault plane cannot leak into a clean batch. An
-    // opted-in batch sees the experiment plan *plus* any ambient
-    // (network-chaos) rules, and the ambient plan is restored after.
-    let armed_here = head.faults && inner.fault_plan.is_some();
-    if armed_here {
-        if let Some(mut plan) = inner.fault_plan.clone() {
-            if let Some(ambient) = &inner.ambient_plan {
-                plan.rules.extend(ambient.rules.iter().cloned());
-            }
-            stacksim_faults::arm(plan);
-        }
-    }
-    let result = runner.run(&names);
-    if armed_here {
-        restore_fault_plane(inner);
-    }
+    let faults = inner.faults.as_ref().filter(|_| head.faults);
+    let result = stacksim_faults::scope(faults, || runner.run(&names));
 
     match result {
         Ok(outcome) => {
@@ -1053,16 +1028,6 @@ fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
     }
 }
 
-/// Restores the process-global fault plane after an opted-in batch: back
-/// to the caller's ambient (network-chaos) plan when one exists, clean
-/// otherwise.
-fn restore_fault_plane(inner: &Inner) {
-    match &inner.ambient_plan {
-        Some(ambient) => stacksim_faults::arm(ambient.clone()),
-        None => stacksim_faults::disarm(),
-    }
-}
-
 /// Publishes a slot's terminal outcome: journals it, counts expired
 /// deadlines, and wakes every waiter.
 fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
@@ -1070,7 +1035,9 @@ fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
         stacksim_obs::counter(super::obs::SERVE_DEADLINE_EXCEEDED).add(1);
     }
     if let Some(journal) = &inner.journal {
-        let _ = journal.record_done(slot.id, outcome.is_ok());
+        let _ = stacksim_faults::scope(inner.faults.as_ref(), || {
+            journal.record_done(slot.id, outcome.is_ok())
+        });
     }
     slot.finish(outcome);
 }

@@ -9,16 +9,16 @@
 //! evaluation count, never on wall-clock time or thread interleaving, so
 //! the same plan and seed reproduce the same fault schedule run after run.
 //!
-//! The plane is compiled in always but zero-cost when no plan is armed:
-//! [`armed`] is a single relaxed atomic load, and every injection point
-//! guards its [`check`] call with it.
+//! A plan is a value, [`Faults`], that [`scope`] puts in force on the
+//! calling thread only, so sessions sharing a process never see each
+//! other's faults; code fanning work out to threads hands on [`current`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Schema tag of the fault-plan JSON document.
 pub const SCHEMA: &str = "stacksim-faults/1";
@@ -127,16 +127,11 @@ impl FaultRule {
     }
 
     fn matches(&self, site: &str, key: &str) -> bool {
-        if self.site != site {
-            return false;
-        }
-        if self.key.is_empty() {
-            return true;
-        }
-        match self.key.strip_suffix('*') {
-            Some(prefix) => key.starts_with(prefix),
-            None => self.key == key,
-        }
+        self.site == site
+            && match self.key.strip_suffix('*') {
+                Some(prefix) => key.starts_with(prefix),
+                None => self.key.is_empty() || self.key == key,
+            }
     }
 }
 
@@ -150,53 +145,59 @@ pub struct FaultPlan {
     pub rules: Vec<FaultRule>,
 }
 
+/// An armed fault plan: the plan, its per-(rule, key) evaluation
+/// counters and its injected count. Clones share one schedule.
+#[derive(Debug, Clone)]
+pub struct Faults(Arc<Mutex<Armed>>);
+
+#[derive(Debug, Default)]
 struct Armed {
     plan: FaultPlan,
-    /// Evaluation counts per (rule index, concrete key). Keying by the
-    /// concrete key makes the schedule independent of how experiments
-    /// interleave across worker threads: each key sees its own
-    /// deterministic evaluation stream.
+    /// Evaluation counts per (rule index, concrete key): one deterministic
+    /// stream per key, however experiments interleave across threads.
     evals: HashMap<(usize, String), u64>,
     injected: u64,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<Armed>> = Mutex::new(None);
+impl Faults {
+    /// Arms `plan` with fresh evaluation counters.
+    #[must_use]
+    pub fn new(plan: FaultPlan) -> Self {
+        Faults(Arc::new(Mutex::new(Armed {
+            plan,
+            ..Armed::default()
+        })))
+    }
 
-fn lock_state() -> std::sync::MutexGuard<'static, Option<Armed>> {
-    STATE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Faults injected (rules fired) since this plan was armed.
+    #[must_use]
+    pub fn injected(&self) -> u64 {
+        let armed = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        armed.injected
+    }
 }
 
-/// Whether a fault plan is armed. A single relaxed atomic load — the
-/// entire cost of the fault plane when nothing is armed.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+thread_local! {
+    static CURRENT: RefCell<Option<Faults>> = const { RefCell::new(None) };
 }
 
-/// Arms a plan process-wide, resetting all evaluation counters.
-pub fn arm(plan: FaultPlan) {
-    let mut st = lock_state();
-    *st = Some(Armed {
-        plan,
-        evals: HashMap::new(),
-        injected: 0,
-    });
-    ARMED.store(true, Ordering::SeqCst);
+/// Runs `f` with `faults` as the calling thread's plan, restoring the
+/// previous plan afterwards, also when `f` unwinds.
+pub fn scope<R>(faults: Option<&Faults>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Faults>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.with(|c| c.replace(self.0.take()));
+        }
+    }
+    let _restore = Restore(CURRENT.with(|c| c.replace(faults.cloned())));
+    f()
 }
 
-/// Disarms the plane; subsequent [`check`] calls are free and return
-/// `None`.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    *lock_state() = None;
-}
-
-/// Faults injected (rules fired) since the current plan was armed.
-pub fn injected_total() -> u64 {
-    lock_state().as_ref().map_or(0, |s| s.injected)
+/// The calling thread's plan; threads start with none.
+#[must_use]
+pub fn current() -> Option<Faults> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// FNV-1a over the seed, site, key and evaluation index, folded to a
@@ -217,16 +218,14 @@ fn fraction(seed: u64, site: &str, key: &str, idx: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Asks the armed plan whether this evaluation of `site` with `key`
-/// should fail, and how. Counts the evaluation against every matching
-/// rule; the first rule whose window (or coin) says "fire" wins. Returns
-/// `None` when no plan is armed or no rule fires.
+/// Asks the calling thread's plan whether this evaluation of `site` with
+/// `key` should fail, and how. Counts the evaluation against every
+/// matching rule; the first rule whose window (or coin) says "fire" wins.
+/// A `stall` sleeps here, unlocked, and like no plan or no rule is `None`.
 pub fn check(site: &str, key: &str) -> Option<Fault> {
-    if !armed() {
-        return None;
-    }
-    let mut guard = lock_state();
-    let st = guard.as_mut()?;
+    let faults = current()?;
+    let mut guard = faults.0.lock().unwrap_or_else(PoisonError::into_inner);
+    let st = &mut *guard;
     let mut fired = None;
     for (i, rule) in st.plan.rules.iter().enumerate() {
         if !rule.matches(site, key) {
@@ -240,12 +239,7 @@ pub fn check(site: &str, key: &str) -> Option<Fault> {
         }
         let fire = match rule.prob {
             Some(p) => fraction(st.plan.seed, site, key, idx) < p,
-            None => {
-                idx >= rule.after
-                    && rule
-                        .times
-                        .is_none_or(|t| idx < rule.after.saturating_add(t))
-            }
+            None => idx >= rule.after && rule.times.is_none_or(|t| idx - rule.after < t),
         };
         if fire {
             fired = Some(rule.fault);
@@ -257,6 +251,11 @@ pub fn check(site: &str, key: &str) -> Option<Fault> {
             stacksim_obs::counter(obs::INJECTED).inc();
         }
     }
+    drop(guard);
+    if let Some(Fault::Stall { ms }) = fired {
+        std::thread::sleep(std::time::Duration::from_millis(ms));
+        return None;
+    }
     fired
 }
 
@@ -264,55 +263,48 @@ pub fn check(site: &str, key: &str) -> Option<Fault> {
 mod tests {
     use super::*;
 
-    /// Process-global plan state: tests in this module must not overlap.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn armed(rules: Vec<FaultRule>) -> Faults {
+        Faults::new(FaultPlan { seed: 0, rules })
     }
 
     #[test]
     fn unarmed_checks_are_none_and_cheap() {
-        let _g = serial();
-        disarm();
-        assert!(!armed());
+        // a plan that exists but is not in scope injects nothing
+        let faults = armed(vec![FaultRule::always(
+            "harness.dispatch",
+            "",
+            Fault::Panic,
+        )]);
+        assert!(current().is_none());
         assert_eq!(check("harness.dispatch", "fig3"), None);
-        assert_eq!(injected_total(), 0);
+        assert_eq!(faults.injected(), 0);
     }
 
     #[test]
     fn windowed_rule_fires_exactly_in_its_window() {
-        let _g = serial();
         let mut rule = FaultRule::always("s", "k", Fault::Panic).times(2);
         rule.after = 1;
-        arm(FaultPlan {
-            seed: 0,
-            rules: vec![rule],
+        let faults = armed(vec![rule]);
+        scope(Some(&faults), || {
+            assert_eq!(check("s", "k"), None); // eval 0: before window
+            assert_eq!(check("s", "k"), Some(Fault::Panic)); // eval 1
+            assert_eq!(check("s", "k"), Some(Fault::Panic)); // eval 2
+            assert_eq!(check("s", "k"), None); // eval 3: exhausted
         });
-        assert_eq!(check("s", "k"), None); // eval 0: before window
-        assert_eq!(check("s", "k"), Some(Fault::Panic)); // eval 1
-        assert_eq!(check("s", "k"), Some(Fault::Panic)); // eval 2
-        assert_eq!(check("s", "k"), None); // eval 3: exhausted
-        assert_eq!(injected_total(), 2);
-        disarm();
+        assert_eq!(faults.injected(), 2);
     }
 
     #[test]
     fn keys_count_independently_so_scheduling_cannot_reorder_decisions() {
-        let _g = serial();
-        arm(FaultPlan {
-            seed: 0,
-            rules: vec![FaultRule::always("s", "", Fault::Corrupt).times(1)],
+        let faults = armed(vec![FaultRule::always("s", "", Fault::Corrupt).times(1)]);
+        scope(Some(&faults), || {
+            // interleaved keys: each key's first evaluation fires
+            // regardless of the order other keys were evaluated in
+            assert_eq!(check("s", "a"), Some(Fault::Corrupt));
+            assert_eq!(check("s", "b"), Some(Fault::Corrupt));
+            assert_eq!(check("s", "a"), None);
+            assert_eq!(check("s", "b"), None);
         });
-        // interleaved keys: each key's first evaluation fires regardless
-        // of the order other keys were evaluated in
-        assert_eq!(check("s", "a"), Some(Fault::Corrupt));
-        assert_eq!(check("s", "b"), Some(Fault::Corrupt));
-        assert_eq!(check("s", "a"), None);
-        assert_eq!(check("s", "b"), None);
-        disarm();
     }
 
     #[test]
@@ -330,7 +322,6 @@ mod tests {
 
     #[test]
     fn probabilistic_rules_are_deterministic_in_the_seed() {
-        let _g = serial();
         let plan = |seed| FaultPlan {
             seed,
             rules: vec![FaultRule {
@@ -343,10 +334,11 @@ mod tests {
             }],
         };
         let sample = |seed| {
-            arm(plan(seed));
-            let fired: Vec<bool> = (0..64).map(|_| check("s", "k").is_some()).collect();
-            disarm();
-            fired
+            scope(Some(&Faults::new(plan(seed))), || {
+                (0..64)
+                    .map(|_| check("s", "k").is_some())
+                    .collect::<Vec<bool>>()
+            })
         };
         let a = sample(7);
         let b = sample(7);
@@ -358,19 +350,46 @@ mod tests {
 
     #[test]
     fn first_matching_rule_wins_but_later_rules_still_count() {
-        let _g = serial();
-        arm(FaultPlan {
-            seed: 0,
-            rules: vec![
-                FaultRule::always("s", "k", Fault::Corrupt).times(1),
-                FaultRule::always("s", "k", Fault::Truncate).times(1),
-            ],
+        let faults = armed(vec![
+            FaultRule::always("s", "k", Fault::Corrupt).times(1),
+            FaultRule::always("s", "k", Fault::Truncate).times(1),
+        ]);
+        scope(Some(&faults), || {
+            // eval 0 fires rule 0; rule 1's window was consumed by the
+            // same evaluation, so nothing fires on eval 1
+            assert_eq!(check("s", "k"), Some(Fault::Corrupt));
+            assert_eq!(check("s", "k"), None);
         });
-        // eval 0 fires rule 0; rule 1's window was consumed by the same
-        // evaluation, so nothing fires on eval 1
-        assert_eq!(check("s", "k"), Some(Fault::Corrupt));
-        assert_eq!(check("s", "k"), None);
-        disarm();
+    }
+
+    #[test]
+    fn scope_restores_the_previous_plan_after_a_panic() {
+        let outer = armed(vec![FaultRule::always("s", "", Fault::Corrupt)]);
+        let inner = armed(vec![FaultRule::always("s", "", Fault::Truncate)]);
+        scope(Some(&outer), || {
+            let unwound = std::panic::catch_unwind(|| {
+                scope(Some(&inner), || {
+                    assert_eq!(check("s", "k"), Some(Fault::Truncate));
+                    panic!("unwind through the scope");
+                })
+            });
+            assert!(unwound.is_err());
+            assert_eq!(check("s", "k"), Some(Fault::Corrupt), "outer plan is back");
+        });
+        assert!(current().is_none(), "and no plan outside every scope");
+        assert_eq!((outer.injected(), inner.injected()), (1, 1));
+    }
+
+    #[test]
+    fn threads_spawned_inside_a_scope_see_no_plan() {
+        let faults = armed(vec![FaultRule::always("s", "", Fault::Panic)]);
+        scope(Some(&faults), || {
+            let seen = std::thread::spawn(|| (current().is_some(), check("s", "k")))
+                .join()
+                .expect("probe thread");
+            assert_eq!(seen, (false, None));
+        });
+        assert_eq!(faults.injected(), 0);
     }
 
     #[test]

@@ -91,20 +91,17 @@ impl std::fmt::Display for ParseError {
 pub fn read_request(stream: &mut TcpStream, timeout: Duration) -> Result<Request, ParseError> {
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
-    if stacksim_faults::armed() {
-        match stacksim_faults::check(SITE_SERVE_READ, "conn") {
-            Some(Fault::IoTransient) => {
-                return Err(ParseError::Io(std::io::Error::new(
-                    ErrorKind::ConnectionReset,
-                    "injected read fault",
-                )));
-            }
-            Some(Fault::Truncate) => {
-                return Err(ParseError::Malformed("connection closed mid-head"));
-            }
-            Some(Fault::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
-            _ => {}
+    match stacksim_faults::check(SITE_SERVE_READ, "conn") {
+        Some(Fault::IoTransient) => {
+            return Err(ParseError::Io(std::io::Error::new(
+                ErrorKind::ConnectionReset,
+                "injected read fault",
+            )));
         }
+        Some(Fault::Truncate) => {
+            return Err(ParseError::Malformed("connection closed mid-head"));
+        }
+        _ => {}
     }
     parse_request(stream, Some(Instant::now() + timeout))
 }
@@ -257,14 +254,11 @@ pub fn respond_with(
     head.push_str("\r\n");
 
     let mut truncate_body = false;
-    if stacksim_faults::armed() {
-        match stacksim_faults::check(SITE_SERVE_WRITE, &status.to_string()) {
-            // the peer sees a connection reset before any byte arrives
-            Some(Fault::IoTransient) => return,
-            Some(Fault::Truncate) => truncate_body = true,
-            Some(Fault::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
-            _ => {}
-        }
+    match stacksim_faults::check(SITE_SERVE_WRITE, &status.to_string()) {
+        // the peer sees a connection reset before any byte arrives
+        Some(Fault::IoTransient) => return,
+        Some(Fault::Truncate) => truncate_body = true,
+        _ => {}
     }
 
     // the peer may already be gone; a failed write only affects them

@@ -99,10 +99,11 @@ pub struct ServeOptions {
     pub cache: MemoCache,
     /// The failure-handling policy.
     pub resilience: Resilience,
-    /// The fault plan requests may opt into with `"faults": true`.
-    /// Rules targeting the network sites (`serve.*` / `session.*`) are
-    /// split out and armed *ambiently* for the daemon's whole lifetime —
-    /// network chaos is per-daemon, not per-request.
+    /// The fault plan requests may opt into with `"faults": true`. The
+    /// same plan is in scope for the daemon's whole lifetime on the
+    /// accept loop, the connection workers and the journal, so rules on
+    /// the network sites (`serve.*` / `session.*`) are per-daemon chaos,
+    /// not per-request.
     pub fault_plan: Option<FaultPlan>,
     /// Admission bound: queued+running experiment requests beyond this
     /// are shed with `503 + Retry-After`. `0` admits everything.
@@ -180,33 +181,12 @@ fn reject_conn(stream: &mut TcpStream, status: u16, body: &str) {
     while matches!(std::io::Read::read(stream, &mut sink), Ok(n) if n > 0) {}
 }
 
-/// Splits a plan into its ambient network-chaos rules (`serve.*` /
-/// `session.*` sites, armed for the daemon's lifetime) and the
-/// experiment rules requests opt into per-batch.
-fn partition_plan(plan: Option<FaultPlan>) -> (Option<FaultPlan>, Option<FaultPlan>) {
-    let Some(plan) = plan else {
-        return (None, None);
-    };
-    let (net, exp): (Vec<_>, Vec<_>) = plan
-        .rules
-        .into_iter()
-        .partition(|r| r.site.starts_with("serve.") || r.site.starts_with("session."));
-    let wrap = |rules: Vec<stacksim_faults::FaultRule>| {
-        (!rules.is_empty()).then_some(FaultPlan {
-            seed: plan.seed,
-            rules,
-        })
-    };
-    (wrap(net), wrap(exp))
-}
-
 impl Server {
     /// Binds the listen socket, builds the [`Sim`] session, enables the
-    /// process metrics registry (the `/metrics` source), arms any
-    /// ambient network-fault rules, and — when a journal is configured —
-    /// recovers it and resubmits every accepted-but-unfinished request
-    /// (idempotent through the memo cache; counted in
-    /// `journal.replayed`).
+    /// process metrics registry (the `/metrics` source), and — when a
+    /// journal is configured — recovers it and resubmits every
+    /// accepted-but-unfinished request (idempotent through the memo
+    /// cache; counted in `journal.replayed`).
     ///
     /// # Errors
     ///
@@ -222,10 +202,6 @@ impl Server {
             jobs: options.jobs,
             cache: options.cache.clone(),
         });
-        let (ambient_plan, exp_plan) = partition_plan(options.fault_plan);
-        if let Some(ambient) = ambient_plan.clone() {
-            stacksim_faults::arm(ambient);
-        }
         let (journal, unfinished) = match &options.journal {
             Some(path) => {
                 let recovery = RequestJournal::recover(path).map_err(std::io::Error::other)?;
@@ -238,8 +214,7 @@ impl Server {
             .jobs(options.jobs)
             .cache(options.cache)
             .resilience(options.resilience)
-            .fault_plan(exp_plan)
-            .ambient_fault_plan(ambient_plan)
+            .fault_plan(options.fault_plan)
             .max_pending((options.max_pending > 0).then_some(options.max_pending))
             .journal(journal.clone())
             .build();
@@ -252,7 +227,7 @@ impl Server {
             io_timeout: options.io_timeout,
             explore_env,
         };
-        server.replay(unfinished);
+        stacksim_faults::scope(server.sim.faults(), || server.replay(unfinished));
         if let Some(journal) = &journal {
             // every unfinished entry is re-appended under a fresh id by
             // now, so the recovery side file has served its purpose
@@ -323,64 +298,65 @@ impl Server {
             let io_timeout = self.io_timeout;
             let worker = std::thread::Builder::new()
                 .name(format!("serve-conn-{i}"))
-                .spawn(move || loop {
-                    let next = {
-                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    match next {
-                        Ok(mut stream) => {
-                            handle_connection(
-                                &mut stream,
-                                &sim,
-                                &requests,
-                                &explore_env,
-                                io_timeout,
-                            );
-                            active.fetch_sub(1, Ordering::SeqCst);
+                .spawn(move || {
+                    stacksim_faults::scope(sim.faults(), || loop {
+                        let next = {
+                            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
+                            guard.recv()
+                        };
+                        match next {
+                            Ok(mut stream) => {
+                                handle_connection(
+                                    &mut stream,
+                                    &sim,
+                                    &requests,
+                                    &explore_env,
+                                    io_timeout,
+                                );
+                                active.fetch_sub(1, Ordering::SeqCst);
+                            }
+                            Err(_) => return, // channel closed: drain complete
                         }
-                        Err(_) => return, // channel closed: drain complete
-                    }
+                    });
                 });
             if let Ok(handle) = worker {
                 workers.push(handle);
             }
         }
 
-        while !shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    if stacksim_faults::armed() {
-                        match stacksim_faults::check(SITE_SERVE_ACCEPT, "conn") {
-                            // the connection never happened, as far as the
-                            // client can tell: dropped without a response
-                            Some(Fault::IoTransient | Fault::Truncate) => continue,
-                            Some(Fault::Stall { ms }) => {
-                                std::thread::sleep(Duration::from_millis(ms));
-                            }
-                            _ => {}
+        stacksim_faults::scope(self.sim.faults(), || -> std::io::Result<()> {
+            while !shutdown.load(Ordering::SeqCst) {
+                match self.listener.accept() {
+                    Ok((mut stream, _)) => {
+                        // the connection never happened, as far as the
+                        // client can tell: dropped without a response
+                        if let Some(Fault::IoTransient | Fault::Truncate) =
+                            stacksim_faults::check(SITE_SERVE_ACCEPT, "conn")
+                        {
+                            continue;
+                        }
+                        // queued-or-processing connections beyond the cap
+                        // are turned away before they can tie up a worker
+                        if self.max_conns > 0 && active.load(Ordering::SeqCst) >= self.max_conns {
+                            stacksim_obs::counter(harness_obs::SERVE_CONNS_REJECTED).add(1);
+                            reject_conn(&mut stream, 429, "{\"error\":\"too many connections\"}");
+                            continue;
+                        }
+                        active.fetch_add(1, Ordering::SeqCst);
+                        if tx.send(stream).is_err() {
+                            break; // every worker died; nothing can serve
                         }
                     }
-                    // queued-or-processing connections beyond the cap are
-                    // turned away before they can tie up a worker
-                    if self.max_conns > 0 && active.load(Ordering::SeqCst) >= self.max_conns {
-                        stacksim_obs::counter(harness_obs::SERVE_CONNS_REJECTED).add(1);
-                        reject_conn(&mut stream, 429, "{\"error\":\"too many connections\"}");
-                        continue;
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(10));
                     }
-                    active.fetch_add(1, Ordering::SeqCst);
-                    if tx.send(stream).is_err() {
-                        break; // every worker died; nothing can serve
-                    }
+                    // a signal interrupting accept re-checks the flag
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                // a signal interrupting accept re-checks the flag
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
-        }
+            Ok(())
+        })?;
 
         // graceful drain: close the funnel, finish connections, then let
         // the session complete everything already submitted. A rejector

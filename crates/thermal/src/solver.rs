@@ -1035,19 +1035,13 @@ impl System {
     /// the one worker driver, [`System::cg_mt`], whose results are
     /// bit-identical for any worker count (see the module docs).
     fn cg(&self, shift: f64, b: &[f64], x: Vec<f64>) -> Result<(Vec<f64>, SolveStats), SolveError> {
-        if stacksim_faults::armed() {
-            match stacksim_faults::check(crate::faults::SITE_CG, self.cfg.preconditioner.label()) {
-                Some(stacksim_faults::Fault::NoConvergence) => {
-                    return Err(SolveError::NoConvergence {
-                        iters: 0,
-                        residual: f64::INFINITY,
-                    });
-                }
-                Some(stacksim_faults::Fault::Stall { ms }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                _ => {}
-            }
+        if let Some(stacksim_faults::Fault::NoConvergence) =
+            stacksim_faults::check(crate::faults::SITE_CG, self.cfg.preconditioner.label())
+        {
+            return Err(SolveError::NoConvergence {
+                iters: 0,
+                residual: f64::INFINITY,
+            });
         }
         let fac = self.factorize(shift);
         let workers = effective_workers(self.cfg.threads, self.nl, self.ny);

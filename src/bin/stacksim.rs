@@ -44,7 +44,7 @@
 //! caps transient retries per experiment, `--deadline` bounds each
 //! experiment's recovery time in seconds.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use stacksim::core::harness::{
@@ -109,7 +109,7 @@ fn usage() -> ExitCode {
          \x20 --cache-shards N   spread cache entries over N subdirectories\n\
          \x20 --test-scale       small traces (smoke/CI serving)\n\
          \x20 --fault-plan FILE  plan requests may opt into with \"faults\": true;\n\
-         \x20                    serve.*/session.* rules arm ambiently for the\n\
+         \x20                    its serve.*/session.* rules apply for the\n\
          \x20                    daemon's lifetime (network chaos)\n\
          \x20 --max-pending N    shed submissions past N queued+running (503 +\n\
          \x20                    Retry-After; default: 0 = unbounded)\n\
@@ -203,30 +203,16 @@ impl ObsSession {
     }
 }
 
-/// Fault-plane session bracketing a `run` invocation: arm the plan up
-/// front, disarm on drop so every exit path (including early errors)
-/// leaves the process-global plane clean.
-struct FaultSession;
-
-impl FaultSession {
-    /// Arms the plan at `path`, if one was given.
-    fn start(path: Option<&PathBuf>) -> Result<Option<Self>, String> {
-        let Some(path) = path else {
-            return Ok(None);
-        };
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read fault plan {}: {e}", path.display()))?;
-        let plan = resilience::parse_fault_plan(&text)
-            .map_err(|e| format!("invalid fault plan {}: {e}", path.display()))?;
-        stacksim::faults::arm(plan);
-        Ok(Some(FaultSession))
-    }
-}
-
-impl Drop for FaultSession {
-    fn drop(&mut self) {
-        stacksim::faults::disarm();
-    }
+/// Reads and validates the fault plan at `path`, if one was given.
+fn read_fault_plan(path: Option<&Path>) -> Result<Option<stacksim::faults::FaultPlan>, String> {
+    let Some(path) = path else {
+        return Ok(None);
+    };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read fault plan {}: {e}", path.display()))?;
+    resilience::parse_fault_plan(&text)
+        .map(Some)
+        .map_err(|e| format!("invalid fault plan {}: {e}", path.display()))
 }
 
 fn list() -> ExitCode {
@@ -343,6 +329,14 @@ fn run(args: &[String]) -> ExitCode {
         resilience.retries = retries;
     }
     resilience.deadline_s = run_args.deadline_s;
+    let fault_plan = match read_fault_plan(run_args.fault_plan.as_deref()) {
+        Ok(plan) => plan,
+        Err(e) => {
+            eprintln!("stacksim: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opt_in = fault_plan.is_some();
     // `run` is a thin in-process client of the same `Sim` session API the
     // `serve` daemon speaks: submit everything while paused, resume so
     // the whole selection lands in one batched runner invocation, then
@@ -353,6 +347,7 @@ fn run(args: &[String]) -> ExitCode {
         .cache(cache)
         .preflight(true)
         .resilience(resilience)
+        .fault_plan(fault_plan)
         .start_paused(true)
         .build();
     let names: Vec<String> = if run_args.all {
@@ -364,13 +359,6 @@ fn run(args: &[String]) -> ExitCode {
     } else {
         run_args.names.clone()
     };
-    let faults = match FaultSession::start(run_args.fault_plan.as_ref()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let obs = match ObsSession::start(run_args.metrics_out.as_ref(), run_args.events.as_ref()) {
         Ok(o) => o,
         Err(e) => {
@@ -381,7 +369,7 @@ fn run(args: &[String]) -> ExitCode {
     let mut handles = Vec::with_capacity(names.len());
     let mut submit_error = None;
     for name in &names {
-        match sim.submit(&ExperimentRequest::new(name)) {
+        match sim.submit(&ExperimentRequest::new(name).faults(opt_in)) {
             Ok(handle) => handles.push(handle),
             Err(e) => {
                 submit_error = Some(e);
@@ -399,17 +387,12 @@ fn run(args: &[String]) -> ExitCode {
         sim.shutdown();
         Ok(merge_outcomes(sim.drain_outcomes()))
     };
-    if let Some(faults) = faults {
+    if let (Some(path), Some(faults)) = (&run_args.fault_plan, sim.faults()) {
         println!(
             "fault plan {}: {} faults injected",
-            run_args
-                .fault_plan
-                .as_deref()
-                .unwrap_or_else(|| std::path::Path::new("?"))
-                .display(),
-            stacksim::faults::injected_total()
+            path.display(),
+            faults.injected()
         );
-        drop(faults);
     }
     if let Some(obs) = obs {
         if let Err(e) = obs.finish() {
@@ -827,22 +810,13 @@ fn serve(args: &[String]) -> ExitCode {
     } else {
         journal.or_else(|| (!no_cache).then(|| cache_dir.join("journal").join("requests.jsonl")))
     };
-    if let Some(path) = &fault_plan {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("stacksim: cannot read fault plan {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match resilience::parse_fault_plan(&text) {
-            Ok(plan) => options.fault_plan = Some(plan),
-            Err(e) => {
-                eprintln!("stacksim: invalid fault plan {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+    options.fault_plan = match read_fault_plan(fault_plan.as_deref()) {
+        Ok(plan) => plan,
+        Err(e) => {
+            eprintln!("stacksim: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
     let server = match stacksim::serve::Server::bind(options) {
         Ok(s) => s,

@@ -17,7 +17,7 @@
 //! * [`obs`] — zero-cost-when-disabled observability (metrics, spans,
 //!   event log) behind `--metrics-out` / `--events` / `stacksim stats`
 //! * [`faults`] — deterministic fault injection (the `--fault-plan`
-//!   chaos plane; zero-cost when no plan is armed)
+//!   chaos plane; a plan is a value scoped to the threads that run it)
 //! * [`core`] — study drivers reproducing every table and figure
 //! * [`explore`] — Pareto design-space search (`stacksim explore`)
 //! * [`serve`] — the `stacksim serve` HTTP/JSON daemon over the

@@ -4,19 +4,19 @@
 //! report — spanning `stacksim-faults`, `stacksim-core` and
 //! `stacksim-thermal`.
 //!
-//! The fault plane is process-global, so every test that arms a plan
-//! serializes on [`LOCK`] and disarms via the panic-safe [`ArmedPlan`]
-//! guard.
+//! A plan is a value put in scope for one run, never process-global
+//! state, so these tests run in parallel.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use stacksim::core::harness::{
     Artifact, Ctx, Digest, Experiment, FailureReport, MemoCache, ParamSensitivity, Registry,
     Resilience, RunOptions, RunOutcome, Runner,
 };
 use stacksim::core::{sensitivity, Error, Headline};
-use stacksim::faults::{self, Fault, FaultPlan, FaultRule};
+use stacksim::faults::{self, Fault, FaultPlan, FaultRule, Faults};
 use stacksim::thermal::{Preconditioner, SolverConfig};
 use stacksim::workloads::WorkloadParams;
 
@@ -26,27 +26,9 @@ use stacksim::workloads::WorkloadParams;
 /// effective configuration, so its artifact must reproduce this digest.
 const GOLDEN_FIG3: &str = "96e4ca5a7dc6bc4f";
 
-/// Serializes tests that arm the process-global fault plane.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arms a plan and guarantees disarm on scope exit, even under panic.
-struct ArmedPlan;
-
-impl ArmedPlan {
-    fn new(plan: FaultPlan) -> Self {
-        faults::arm(plan);
-        ArmedPlan
-    }
-}
-
-impl Drop for ArmedPlan {
-    fn drop(&mut self) {
-        faults::disarm();
-    }
+/// A seed-0 plan of `rules`, armed.
+fn armed(rules: Vec<FaultRule>) -> Faults {
+    Faults::new(FaultPlan { seed: 0, rules })
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -70,6 +52,16 @@ fn run_custom(exp: Arc<dyn Experiment>, cache: MemoCache, resilience: Resilience
     )
     .run(&[name])
     .expect("selection is valid")
+}
+
+/// [`run_custom`] with `faults` as the run's plan.
+fn run_faulted(
+    faults: &Faults,
+    exp: Arc<dyn Experiment>,
+    cache: MemoCache,
+    resilience: Resilience,
+) -> RunOutcome {
+    faults::scope(Some(faults), || run_custom(exp, cache, resilience))
 }
 
 /// Fig3 solved with the LineZ preconditioner — the experiment the chaos
@@ -132,18 +124,15 @@ impl Experiment for Tiny {
 
 #[test]
 fn ladder_recovers_linez_nonconvergence_with_bit_identical_jacobi_artifact() {
-    let _g = serial();
     // Every LineZ CG solve reports non-convergence; Jacobi solves are
     // untouched, so the ladder's first rung recovers the experiment.
-    let _armed = ArmedPlan::new(FaultPlan {
-        seed: 0,
-        rules: vec![FaultRule::always(
-            "thermal.cg",
-            "line-z",
-            Fault::NoConvergence,
-        )],
-    });
-    let outcome = run_custom(
+    let faults = armed(vec![FaultRule::always(
+        "thermal.cg",
+        "line-z",
+        Fault::NoConvergence,
+    )]);
+    let outcome = run_faulted(
+        &faults,
         Arc::new(LineZFig3),
         MemoCache::disabled(),
         Resilience::default(),
@@ -166,13 +155,14 @@ fn ladder_recovers_linez_nonconvergence_with_bit_identical_jacobi_artifact() {
 
 #[test]
 fn ladder_exhaustion_surfaces_the_solve_error() {
-    let _g = serial();
     // Jacobi is knocked over too: every rung fails and the ladder runs dry.
-    let _armed = ArmedPlan::new(FaultPlan {
-        seed: 0,
-        rules: vec![FaultRule::always("thermal.cg", "", Fault::NoConvergence)],
-    });
-    let outcome = run_custom(
+    let faults = armed(vec![FaultRule::always(
+        "thermal.cg",
+        "",
+        Fault::NoConvergence,
+    )]);
+    let outcome = run_faulted(
+        &faults,
         Arc::new(LineZFig3),
         MemoCache::disabled(),
         Resilience::default(),
@@ -187,21 +177,18 @@ fn ladder_exhaustion_surfaces_the_solve_error() {
 
 #[test]
 fn transient_dispatch_faults_are_retried_to_success() {
-    let _g = serial();
     // One injected panic, then one injected transient I/O error: the
     // default budget of two retries absorbs both.
-    let _armed = ArmedPlan::new(FaultPlan {
-        seed: 0,
-        rules: vec![
-            FaultRule::always("harness.dispatch", "tiny", Fault::Panic).times(1),
-            FaultRule {
-                after: 1,
-                ..FaultRule::always("harness.dispatch", "tiny", Fault::IoTransient)
-            }
-            .times(1),
-        ],
-    });
-    let outcome = run_custom(
+    let faults = armed(vec![
+        FaultRule::always("harness.dispatch", "tiny", Fault::Panic).times(1),
+        FaultRule {
+            after: 1,
+            ..FaultRule::always("harness.dispatch", "tiny", Fault::IoTransient)
+        }
+        .times(1),
+    ]);
+    let outcome = run_faulted(
+        &faults,
         Arc::new(Tiny { name: "tiny" }),
         MemoCache::disabled(),
         Resilience {
@@ -218,7 +205,6 @@ fn transient_dispatch_faults_are_retried_to_success() {
 
 #[test]
 fn corrupt_cache_entries_are_quarantined_and_recomputed() {
-    let _g = serial();
     let dir = scratch_dir("quarantine");
     let cache = MemoCache::at(&dir);
 
@@ -232,11 +218,14 @@ fn corrupt_cache_entries_are_quarantined_and_recomputed() {
 
     // The next load is corrupted in memory; the on-disk entry is moved to
     // quarantine and the experiment recomputes.
-    let _armed = ArmedPlan::new(FaultPlan {
-        seed: 0,
-        rules: vec![FaultRule::always("harness.cache.load", "tiny", Fault::Corrupt).times(1)],
-    });
-    let second = run_custom(
+    let faults = armed(vec![FaultRule::always(
+        "harness.cache.load",
+        "tiny",
+        Fault::Corrupt,
+    )
+    .times(1)]);
+    let second = run_faulted(
+        &faults,
         Arc::new(Tiny { name: "tiny" }),
         cache.clone(),
         Resilience::default(),
@@ -264,7 +253,6 @@ fn corrupt_cache_entries_are_quarantined_and_recomputed() {
 
 #[test]
 fn truncated_cache_entries_are_a_plain_miss() {
-    let _g = serial();
     let dir = scratch_dir("truncate");
     let cache = MemoCache::at(&dir);
     run_custom(
@@ -275,11 +263,14 @@ fn truncated_cache_entries_are_a_plain_miss() {
 
     // A 0-byte read is the cache's own miss-and-delete path: no
     // quarantine, no error, just a recompute.
-    let _armed = ArmedPlan::new(FaultPlan {
-        seed: 0,
-        rules: vec![FaultRule::always("harness.cache.load", "tiny", Fault::Truncate).times(1)],
-    });
-    let outcome = run_custom(
+    let faults = armed(vec![FaultRule::always(
+        "harness.cache.load",
+        "tiny",
+        Fault::Truncate,
+    )
+    .times(1)]);
+    let outcome = run_faulted(
+        &faults,
         Arc::new(Tiny { name: "tiny" }),
         cache,
         Resilience::default(),
@@ -295,8 +286,38 @@ fn truncated_cache_entries_are_a_plain_miss() {
 }
 
 #[test]
+fn stalled_cache_loads_are_delayed_then_served() {
+    let dir = scratch_dir("stall");
+    let cache = MemoCache::at(&dir);
+    run_custom(
+        Arc::new(Tiny { name: "tiny" }),
+        cache.clone(),
+        Resilience::default(),
+    );
+    let digest = Tiny { name: "tiny" }.params_digest(&WorkloadParams::paper());
+
+    let faults = armed(vec![FaultRule::always(
+        "harness.cache.load",
+        "tiny",
+        Fault::Stall { ms: 150 },
+    )]);
+    let start = Instant::now();
+    let hit = faults::scope(Some(&faults), || cache.load("tiny", &digest));
+    assert!(
+        start.elapsed() >= Duration::from_millis(150),
+        "the stall delays the load by at least its ms"
+    );
+    assert!(
+        matches!(hit, Ok(Some(_))),
+        "a stall is not an error: the entry is still served"
+    );
+    assert_eq!(faults.injected(), 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn failure_reports_are_byte_identical_across_runs_of_the_same_plan() {
-    let _g = serial();
     let plan = FaultPlan {
         seed: 7,
         rules: vec![FaultRule::always(
@@ -306,8 +327,8 @@ fn failure_reports_are_byte_identical_across_runs_of_the_same_plan() {
         )],
     };
     let run_once = || {
-        let _armed = ArmedPlan::new(plan.clone());
-        let outcome = run_custom(
+        let outcome = run_faulted(
+            &Faults::new(plan.clone()),
             Arc::new(Tiny { name: "doomed" }),
             MemoCache::disabled(),
             Resilience {
@@ -333,18 +354,15 @@ fn failure_reports_are_byte_identical_across_runs_of_the_same_plan() {
 
 #[test]
 fn deadlines_bound_the_recovery_loop() {
-    let _g = serial();
     // An endless transient with a huge retry budget: only the deadline
     // stops the loop, and the failure is classified as such.
-    let _armed = ArmedPlan::new(FaultPlan {
-        seed: 0,
-        rules: vec![FaultRule::always(
-            "harness.dispatch",
-            "stuck",
-            Fault::IoTransient,
-        )],
-    });
-    let outcome = run_custom(
+    let faults = armed(vec![FaultRule::always(
+        "harness.dispatch",
+        "stuck",
+        Fault::IoTransient,
+    )]);
+    let outcome = run_faulted(
+        &faults,
         Arc::new(Tiny { name: "stuck" }),
         MemoCache::disabled(),
         Resilience {
@@ -363,8 +381,12 @@ fn deadlines_bound_the_recovery_loop() {
 
 #[test]
 fn unarmed_runs_see_no_faults() {
-    let _g = serial();
-    faults::disarm();
+    // a plan that would fail this run, armed but never put in scope
+    let faults = armed(vec![FaultRule::always(
+        "harness.dispatch",
+        "tiny",
+        Fault::IoTransient,
+    )]);
     let outcome = run_custom(
         Arc::new(Tiny { name: "tiny" }),
         MemoCache::disabled(),
@@ -374,5 +396,44 @@ fn unarmed_runs_see_no_faults() {
     let entry = &outcome.report.entries[0];
     assert_eq!(entry.attempts, 1);
     assert!(entry.fallback.is_none());
-    assert_eq!(faults::injected_total(), 0);
+    assert_eq!(faults.injected(), 0);
+}
+
+#[test]
+fn runner_workers_run_under_the_callers_plan() {
+    // eight experiments over four workers: each one's first dispatch is
+    // injected, so every worker that ran anything saw the plan
+    const NAMES: [&str; 8] = ["w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"];
+    let mut registry = Registry::new();
+    for name in NAMES {
+        registry.add(Arc::new(Tiny { name }));
+    }
+    let runner = Runner::new(
+        registry,
+        RunOptions::builder()
+            .jobs(4)
+            .resilience(Resilience {
+                backoff_ms: 1,
+                ..Resilience::default()
+            })
+            .build(),
+    );
+    let faults = armed(vec![FaultRule::always(
+        "harness.dispatch",
+        "w*",
+        Fault::IoTransient,
+    )
+    .times(1)]);
+    let names: Vec<String> = NAMES.iter().map(|n| n.to_string()).collect();
+    let outcome = faults::scope(Some(&faults), || runner.run(&names)).expect("selection is valid");
+    assert_eq!(outcome.report.jobs, 4);
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    for entry in &outcome.report.entries {
+        assert_eq!(
+            entry.attempts, 2,
+            "'{}': injected, then retried",
+            entry.name
+        );
+    }
+    assert_eq!(faults.injected(), NAMES.len() as u64);
 }

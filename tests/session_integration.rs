@@ -338,3 +338,108 @@ fn injected_dispatch_panic_resolves_every_handle() {
     sim.wait_idle();
     assert_eq!(sim.stats().inflight, 0, "nothing left queued or running");
 }
+
+/// An experiment that holds its batch open between two rendezvous with
+/// the test, so another session can run while this one's plan is in
+/// force.
+struct Gate(std::sync::Arc<std::sync::Barrier>);
+
+impl stacksim::core::harness::Experiment for Gate {
+    fn name(&self) -> &str {
+        "gate"
+    }
+
+    fn sensitivity(&self) -> stacksim::core::harness::ParamSensitivity {
+        stacksim::core::harness::ParamSensitivity::none()
+    }
+
+    fn params_digest(&self, _params: &WorkloadParams) -> String {
+        stacksim::core::harness::Digest::new().str("gate").hex()
+    }
+
+    fn run(&self, _ctx: &stacksim::core::harness::Ctx) -> Result<Artifact, Error> {
+        self.0.wait(); // entered
+        self.0.wait(); // released
+        Ok(Artifact::Headline(stacksim::core::Headline {
+            mean_cpma_reduction: 2.0,
+            peak_cpma_reduction: 3.0,
+            bandwidth_reduction_factor: 3.0,
+            bus_power_saving_w: 0.5,
+            baseline_bus_power_w: 0.6,
+        }))
+    }
+}
+
+/// A session's fault plan never reaches another session in the same
+/// process: while session A runs an opted-in batch under a plan that
+/// fails every `fig3` dispatch, a plan-less session B runs `fig3`
+/// without retries and succeeds.
+#[test]
+fn a_fault_plan_does_not_leak_into_other_sessions() {
+    use stacksim::faults::{Fault, FaultPlan, FaultRule};
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let mut registry = Registry::new();
+    registry.add(std::sync::Arc::new(Gate(barrier.clone())));
+    let a = Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .fault_plan(FaultPlan {
+            seed: 3,
+            rules: vec![FaultRule::always(
+                "harness.dispatch",
+                "fig3",
+                Fault::IoTransient,
+            )],
+        })
+        .build();
+    let held = a
+        .submit(&ExperimentRequest::new("gate").faults(true))
+        .unwrap();
+    barrier.wait(); // A's opted-in batch is running
+
+    let b = Sim::builder()
+        .params(WorkloadParams::test())
+        .resilience(Resilience {
+            retries: 0,
+            ..Resilience::default()
+        })
+        .build();
+    let clean = b.submit(&ExperimentRequest::new("fig3")).map(|h| h.wait());
+    barrier.wait(); // release A before any assertion can unwind
+    let clean = clean.unwrap();
+    assert!(clean.is_ok(), "{:?}", clean.report.error);
+    assert_eq!(clean.report.attempts, 1);
+    assert!(held.wait().is_ok());
+    assert_eq!(a.faults().map(|f| f.injected()), Some(0));
+}
+
+/// A session arms its plan once: `times`/`after` windows count over the
+/// session's lifetime, not per batch, so a `times(1)` rule fails exactly
+/// one of two sequential opted-in requests.
+#[test]
+fn one_fault_schedule_spans_the_session() {
+    use stacksim::faults::{Fault, FaultPlan, FaultRule};
+    let plan = FaultPlan {
+        seed: 5,
+        rules: vec![
+            FaultRule::always("harness.dispatch", "fig5:gauss", Fault::IoTransient).times(1),
+        ],
+    };
+    let sim = Sim::builder()
+        .params(WorkloadParams::test())
+        .fault_plan(plan)
+        .resilience(Resilience {
+            retries: 0,
+            ..Resilience::default()
+        })
+        .build();
+    let ok: Vec<bool> = [1, 2]
+        .iter()
+        .map(|&seed| {
+            let request = ExperimentRequest::new("fig5:gauss").seed(seed).faults(true);
+            sim.submit(&request).unwrap().wait().is_ok()
+        })
+        .collect();
+    assert_eq!(ok, [false, true], "only the first request is injected");
+    assert_eq!(sim.faults().map(|f| f.injected()), Some(1));
+}
