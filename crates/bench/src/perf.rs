@@ -273,7 +273,7 @@ fn bench_mem(opts: &BenchOptions, samples: usize) -> Json {
         let stream = benchmark.stream(&params, STREAM_BLOCK_LEN);
         let window = stream.dep_window();
         let mut e = Engine::new(proto.clone(), EngineConfig::default());
-        e.run_blocks(stream, window)
+        e.run_blocks(stream, 0, window)
     });
 
     // The same leg with live metrics: counters resolve and count, no

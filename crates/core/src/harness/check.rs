@@ -186,6 +186,11 @@ pub fn obs_model() -> Model {
             stacksim_thermal::obs::COMPONENT,
             stacksim_thermal::obs::NAMES,
         ),
+        (
+            "obs.workloads",
+            stacksim_workloads::obs::COMPONENT,
+            stacksim_workloads::obs::NAMES,
+        ),
         ("obs.harness", super::obs::COMPONENT, super::obs::NAMES),
         (
             "obs.faults",

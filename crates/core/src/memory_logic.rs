@@ -1,13 +1,19 @@
 //! The Memory+Logic study (§3): Fig. 5 performance/bandwidth, Fig. 6/8
 //! thermals, and the headline numbers.
 
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::Arc;
+use std::time::Instant;
+
 use stacksim_floorplan::PowerGrid;
-use stacksim_mem::{Engine, EngineConfig, MemTelemetry, MemoryHierarchy};
+use stacksim_mem::{warm_records, Engine, EngineConfig, MemTelemetry, MemoryHierarchy, RunResult};
+use stacksim_obs::Span;
 use stacksim_power::bus_power_w;
 use stacksim_thermal::{
     solve_with_stats, Boundary, LayerStack, SolveStats, SolverConfig, TemperatureField,
 };
-use stacksim_workloads::{RmsBenchmark, WorkloadParams};
+use stacksim_trace::RecordBlock;
+use stacksim_workloads::{RmsBenchmark, TraceShape, TraceStream, WorkloadParams};
 
 use crate::error::Error;
 use crate::stacking::StackOption;
@@ -123,9 +129,23 @@ impl Headline {
     }
 }
 
+/// Records per block of a streamed Fig. 5 point.
+const STREAM_BLOCK_LEN: usize = 4096;
+
+/// Shared blocks queued ahead of each engine thread of a streamed point.
+const FEED_BLOCKS: usize = 8;
+
 /// Runs one benchmark across all four options, also returning the
 /// per-option memory-engine telemetry (one [`MemTelemetry`] per Fig. 7
 /// option, in [`StackOption::all`] order).
+///
+/// A count-only pre-pass ([`TraceShape::count`]) first measures the trace.
+/// A trace that fits in the generation stream's own buffers is
+/// materialised and replayed four times on the calling thread: streaming
+/// it would save no memory. A longer one is generated once and every block
+/// is fanned out to four engine threads, one per option, so memory stays
+/// bounded by the channels rather than the trace length. Both paths
+/// produce bit-identical results (see `DESIGN.md` §14).
 ///
 /// # Errors
 ///
@@ -135,28 +155,144 @@ pub fn run_benchmark_instrumented(
     benchmark: RmsBenchmark,
     params: &WorkloadParams,
 ) -> Result<(Fig5Row, [MemTelemetry; 4]), Error> {
-    let trace = benchmark.generate(params);
-    let mut cpma = [0.0; 4];
-    let mut bandwidth = [0.0; 4];
-    let mut telemetry = [MemTelemetry::default(); 4];
-    for (i, option) in StackOption::all().into_iter().enumerate() {
-        let mut engine = Engine::new(
-            MemoryHierarchy::new(option.hierarchy())?,
-            EngineConfig::default(),
-        );
-        let result = engine.run_warmed(&trace, WARMUP_FRACTION);
-        cpma[i] = result.cpma;
-        bandwidth[i] = result.offdie_gb_per_sec;
-        telemetry[i] = result.telemetry();
+    let start = Instant::now();
+    let shape = TraceShape::count(benchmark, params);
+    let count_us = start.elapsed().as_micros() as u64;
+    if shape.records <= TraceStream::buffer_records(params.threads, STREAM_BLOCK_LEN) {
+        run_materialised(benchmark, params, shape, count_us)
+    } else {
+        run_streamed(benchmark, params, shape, count_us, STREAM_BLOCK_LEN)
     }
-    Ok((
-        Fig5Row {
-            benchmark,
-            cpma,
-            bandwidth,
-        },
-        telemetry,
-    ))
+}
+
+/// Generates the whole trace, then replays it under each option in turn
+/// on the calling thread, one hierarchy alive at a time.
+fn run_materialised(
+    benchmark: RmsBenchmark,
+    params: &WorkloadParams,
+    shape: TraceShape,
+    count_us: u64,
+) -> Result<(Fig5Row, [MemTelemetry; 4]), Error> {
+    let generating = generate_span(benchmark, shape, count_us);
+    let trace = benchmark.generate(params);
+    drop(generating);
+    let mut runs = Vec::with_capacity(4);
+    for option in StackOption::all() {
+        let mut engine = engine(option)?;
+        let _replay = replay_span(option);
+        runs.push(engine.run_warmed(&trace, WARMUP_FRACTION));
+    }
+    Ok(fig5_row(benchmark, runs))
+}
+
+/// Generates the trace once through a [`TraceStream`] sized by `shape` and
+/// replays every block under all four options at once, one engine thread
+/// per option.
+fn run_streamed(
+    benchmark: RmsBenchmark,
+    params: &WorkloadParams,
+    shape: TraceShape,
+    count_us: u64,
+    block_len: usize,
+) -> Result<(Fig5Row, [MemTelemetry; 4]), Error> {
+    let mut consumers = Vec::with_capacity(4);
+    let warm = warm_records(shape.records, WARMUP_FRACTION);
+    for option in StackOption::all() {
+        let mut engine = engine(option)?;
+        consumers.push(move |blocks: Receiver<Arc<RecordBlock>>| {
+            let _replay = replay_span(option);
+            engine.run_blocks(blocks, warm, shape.dep_window)
+        });
+    }
+    let generating = generate_span(benchmark, shape, count_us);
+    let stream = TraceStream::spawn(benchmark, *params, shape, block_len);
+    let runs = fan_out(stream, generating, consumers);
+    Ok(fig5_row(benchmark, runs))
+}
+
+/// Hands every block of `stream` to each consumer — one thread and one
+/// bounded channel per consumer — and returns their results in order.
+/// `generating` closes once the stream is exhausted.
+///
+/// A consumer hangs up only by panicking, which stops the feed; a kernel
+/// panic unwinds out of the stream. Either way every producer and consumer
+/// thread is joined before the first panic is re-raised here, so a failure
+/// can neither deadlock nor leak a thread.
+fn fan_out<R, F>(stream: TraceStream, generating: Span, consumers: Vec<F>) -> Vec<R>
+where
+    R: Send,
+    F: FnOnce(Receiver<Arc<RecordBlock>>) -> R + Send,
+{
+    std::thread::scope(|s| {
+        let mut feeds = Vec::with_capacity(consumers.len());
+        let threads: Vec<_> = consumers
+            .into_iter()
+            .map(|consume| {
+                let (feed, blocks) = sync_channel(FEED_BLOCKS);
+                feeds.push(feed);
+                s.spawn(move || consume(blocks))
+            })
+            .collect();
+        for block in stream {
+            let block = Arc::new(block);
+            if feeds
+                .iter()
+                .any(|feed| feed.send(Arc::clone(&block)).is_err())
+            {
+                break;
+            }
+        }
+        drop(generating);
+        drop(feeds);
+        threads
+            .into_iter()
+            .map(|t| {
+                t.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// A cold engine for one Fig. 7 option.
+fn engine(option: StackOption) -> Result<Engine, Error> {
+    let hierarchy = MemoryHierarchy::new(option.hierarchy())?;
+    Ok(Engine::new(hierarchy, EngineConfig::default()))
+}
+
+/// The `workloads.generate` span of one point.
+fn generate_span(benchmark: RmsBenchmark, shape: TraceShape, count_us: u64) -> Span {
+    let mut span = stacksim_obs::span(stacksim_workloads::obs::EVENT_GENERATE);
+    span.field("bench", benchmark.name());
+    span.field("records", shape.records);
+    span.field("count_us", count_us);
+    span
+}
+
+/// The `mem.replay` span of one option's engine.
+fn replay_span(option: StackOption) -> Span {
+    let mut span = stacksim_obs::span(stacksim_mem::obs::EVENT_REPLAY);
+    span.field("option", option.label());
+    span
+}
+
+/// Collects the four per-option runs of `benchmark` into its Fig. 5 row.
+fn fig5_row(
+    benchmark: RmsBenchmark,
+    runs: impl IntoIterator<Item = RunResult>,
+) -> (Fig5Row, [MemTelemetry; 4]) {
+    let mut row = Fig5Row {
+        benchmark,
+        cpma: [0.0; 4],
+        bandwidth: [0.0; 4],
+    };
+    let mut telemetry = [MemTelemetry::default(); 4];
+    for (i, run) in runs.into_iter().enumerate() {
+        row.cpma[i] = run.cpma;
+        row.bandwidth[i] = run.offdie_gb_per_sec;
+        telemetry[i] = run.telemetry();
+    }
+    (row, telemetry)
 }
 
 /// Runs the full Fig. 5 study: all twelve RMS benchmarks across the four
@@ -313,6 +449,87 @@ mod tests {
         for c in row.cpma {
             assert!(c > 0.0 && c < 100.0);
         }
+    }
+
+    /// The streamed path must reproduce the materialised one bit for bit,
+    /// wherever the warm boundary falls in a block.
+    #[test]
+    fn streamed_point_matches_materialised_for_every_benchmark() {
+        let params = WorkloadParams::test();
+        for bench in RmsBenchmark::all() {
+            let shape = TraceShape::count(bench, &params);
+            let (row, telemetry) = run_materialised(bench, &params, shape, 0).unwrap();
+            for block_len in [1usize, 7, 4096] {
+                let (streamed, streamed_telemetry) =
+                    run_streamed(bench, &params, shape, 0, block_len).unwrap();
+                let at = format!("{bench}, block {block_len}");
+                let bits = |v: [f64; 4]| v.map(f64::to_bits);
+                assert_eq!(bits(row.cpma), bits(streamed.cpma), "{at}");
+                assert_eq!(bits(row.bandwidth), bits(streamed.bandwidth), "{at}");
+                assert_eq!(telemetry, streamed_telemetry, "{at}");
+            }
+        }
+    }
+
+    /// One engine consumer panics mid-stream: the panic reaches the
+    /// runner's report as a worker panic, and every thread of the fan-out
+    /// has finished by the time the runner returns.
+    #[test]
+    fn consumer_panic_mid_stream_surfaces_without_deadlock() {
+        use crate::harness::{Artifact, Ctx, Digest, Experiment, Registry, RunOptions, Runner};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Counts consumers that have finished, normally or by unwinding.
+        struct Finished(Arc<AtomicUsize>);
+        impl Drop for Finished {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        struct PanicsMidStream(Arc<AtomicUsize>);
+        impl Experiment for PanicsMidStream {
+            fn name(&self) -> &str {
+                "fan-out-panic"
+            }
+
+            fn params_digest(&self, _params: &WorkloadParams) -> String {
+                Digest::new().str("fan-out-panic").hex()
+            }
+
+            fn run(&self, ctx: &Ctx) -> Result<Artifact, Error> {
+                let stream = RmsBenchmark::Gauss.stream(&ctx.params, 64);
+                let consumers = (0..4)
+                    .map(|i| {
+                        let finished = Finished(Arc::clone(&self.0));
+                        move |blocks: Receiver<Arc<RecordBlock>>| {
+                            let _finished = finished;
+                            for (n, _) in blocks.into_iter().enumerate() {
+                                assert!(i != 2 || n < 3, "engine {i} fails mid-stream");
+                            }
+                        }
+                    })
+                    .collect();
+                let generating = stacksim_obs::span(stacksim_workloads::obs::EVENT_GENERATE);
+                fan_out(stream, generating, consumers);
+                unreachable!("the fan-out re-raises the consumer panic")
+            }
+        }
+
+        let finished = Arc::new(AtomicUsize::new(0));
+        let mut registry = Registry::new();
+        registry.add(Arc::new(PanicsMidStream(Arc::clone(&finished))));
+        let options = RunOptions::builder()
+            .params(WorkloadParams::test())
+            .jobs(1)
+            .build();
+        let outcome = Runner::new(registry, options)
+            .run(&["fan-out-panic".to_string()])
+            .unwrap();
+        let kinds: Vec<&str> = outcome.errors.iter().map(|(_, e)| e.kind()).collect();
+        assert_eq!(kinds, ["worker-panic"]);
+        let attempts = outcome.report.entries[0].attempts;
+        assert_eq!(finished.load(Ordering::SeqCst), 4 * attempts as usize);
     }
 
     #[test]

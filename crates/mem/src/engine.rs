@@ -7,7 +7,9 @@
 //! configurable outstanding-miss window, which bounds memory-level
 //! parallelism like a set of MSHRs would).
 
-use stacksim_trace::{PackedRecord, RecordBlock, Trace};
+use std::ops::Deref;
+
+use stacksim_trace::{PackedRecord, Trace};
 
 use crate::config::{ConfigError, Cycles};
 use crate::hierarchy::MemoryHierarchy;
@@ -224,8 +226,9 @@ impl Engine {
     }
 
     /// Runs a trace, excluding the first `warmup` fraction (0.0..1.0) of
-    /// records from the reported metrics. The excluded prefix still updates
-    /// cache, bank and bus state, so large caches are measured warm.
+    /// records — [`warm_records`] of them — from the reported metrics. The
+    /// excluded prefix still updates cache, bank and bus state, so large
+    /// caches are measured warm.
     ///
     /// The measured interval is bounded by *issue* and *completion* times
     /// of the measured records themselves: it opens at the earliest issue
@@ -237,55 +240,33 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `warmup` is not within `0.0..1.0`, or if `warmup` rounds
-    /// the warm prefix up to the entire (non-empty) trace and would leave
-    /// an empty measurement window — which would otherwise silently
-    /// report a CPMA of 0.0.
+    /// As [`warm_records`].
     pub fn run_warmed(&mut self, trace: &Trace, warmup: f64) -> RunResult {
-        assert!(
-            (0.0..1.0).contains(&warmup),
-            "warmup fraction must be in [0, 1)"
-        );
-        let warm_records = (trace.len() as f64 * warmup) as usize;
-        assert!(
-            trace.is_empty() || warm_records < trace.len(),
-            "warmup fraction {warmup} warms all {} records and leaves an \
-             empty measurement window",
-            trace.len()
-        );
         // The whole trace is one block, and its largest dependency
         // distance is the window the ring must cover.
         let dep_window = trace.max_dep_offset().max(1) as usize;
-        self.replay([trace.packed()], warm_records, dep_window)
+        self.run_blocks(
+            [trace.packed()],
+            warm_records(trace.len(), warmup),
+            dep_window,
+        )
     }
 
-    /// Runs a stream of packed-record blocks — the generate-while-simulate
-    /// pipeline. Blocks typically arrive through a bounded channel fed by a
-    /// producer thread (see `stacksim-workloads`), so the whole trace is
-    /// never materialised. Dependencies must point at most `dep_window`
-    /// records back; the engine keeps only a power-of-two ring of recent
-    /// completion times. Batched observability counters flush once per
+    /// Runs a stream of packed-record blocks — the one replay loop behind
+    /// every run path. Blocks typically arrive through a bounded channel
+    /// fed by the generate-while-simulate pipeline (see
+    /// `stacksim-workloads`), so the whole trace is never materialised. A
+    /// block is anything that dereferences to records: an owned `Vec`, a
+    /// slice, or an `Arc` shared with other engines. The first
+    /// `warm_records` records (the boundary may fall anywhere, mid-block
+    /// included) update hierarchy state but are excluded from the
+    /// reported metrics. Batched observability counters flush once per
     /// block rather than per reference.
     ///
-    /// Simulation results are bit-identical to [`Engine::run`] on the
-    /// materialised concatenation of the blocks, for any block
-    /// partitioning — the channel carries data, never ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dep_window` is zero or a record's dependency reaches
-    /// further back than `dep_window`.
-    pub fn run_blocks<I>(&mut self, blocks: I, dep_window: usize) -> RunResult
-    where
-        I: IntoIterator<Item = RecordBlock>,
-    {
-        self.replay(blocks, 0, dep_window)
-    }
-
-    /// The one replay loop behind every run path. Feeds `blocks` through
-    /// the issue core in order; the first `warm_records` records (the
-    /// boundary may fall anywhere, mid-block included) update hierarchy
-    /// state but are excluded from the reported metrics.
+    /// Simulation results are bit-identical to [`Engine::run_warmed`] on
+    /// the materialised concatenation of the blocks when `warm_records` is
+    /// [`warm_records`] of its length, for any block partitioning — the
+    /// channel carries data, never ordering.
     ///
     /// Completion times live in a power-of-two ring covering `dep_window`,
     /// not a full-length table: by the time slot `i & mask` is overwritten
@@ -294,10 +275,22 @@ impl Engine {
     /// record's own write clobbers it — while any greater distance has
     /// already been clobbered, so it panics rather than silently reading a
     /// younger completion time.
-    fn replay<I>(&mut self, blocks: I, warm_records: usize, dep_window: usize) -> RunResult
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dep_window` is zero or a record's dependency reaches
+    /// further back than `dep_window`; in debug builds, also if
+    /// `warm_records` covers every record of a non-empty stream.
+    pub fn run_blocks<I, B>(
+        &mut self,
+        blocks: I,
+        warm_records: usize,
+        dep_window: usize,
+    ) -> RunResult
     where
-        I: IntoIterator,
-        I::Item: AsRef<[PackedRecord]>,
+        I: IntoIterator<Item = B>,
+        B: Deref,
+        B::Target: AsRef<[PackedRecord]>,
     {
         assert!(dep_window > 0, "dependency window must be positive");
         let mask = dep_window.next_power_of_two() - 1;
@@ -314,7 +307,7 @@ impl Engine {
         let mut measured_last: Cycles = 0;
         let mut n: usize = 0;
         for block in blocks {
-            let block = block.as_ref();
+            let block: &[PackedRecord] = (*block).as_ref();
             let (warm, measured) = block.split_at(warm_records.saturating_sub(n).min(block.len()));
             for p in warm {
                 self.step(p, n, &mut ring, mask, dep_window, &mut cpus);
@@ -372,7 +365,7 @@ impl Engine {
     /// The one issue/drain/access/cursor sequence for record `i`. The
     /// dependency's completion time comes from the ring (0 when the record
     /// has none) and is ignored under the `ignore_deps` ablation.
-    /// Force-inlined: each of its two call sites in [`Engine::replay`]
+    /// Force-inlined: each of its two call sites in [`Engine::run_blocks`]
     /// wants the whole issue/access/insert chain flattened so the per-cpu
     /// state stays in registers across records.
     #[inline(always)]
@@ -416,6 +409,31 @@ impl Engine {
             done: res.done,
         }
     }
+}
+
+/// Records of a `len`-record trace that a `warmup` fraction excludes from
+/// measurement: `floor(len · warmup)`. Every run path derives its warm
+/// boundary here, so a streamed run whose length is known up front lands
+/// on exactly the record [`Engine::run_warmed`] would.
+///
+/// # Panics
+///
+/// Panics if `warmup` is not within `0.0..1.0`, or if it rounds the warm
+/// prefix up to the entire (non-empty) trace and would leave an empty
+/// measurement window — which would otherwise silently report a CPMA of
+/// 0.0.
+pub fn warm_records(len: usize, warmup: f64) -> usize {
+    assert!(
+        (0.0..1.0).contains(&warmup),
+        "warmup fraction must be in [0, 1)"
+    );
+    let warm = (len as f64 * warmup) as usize;
+    assert!(
+        len == 0 || warm < len,
+        "warmup fraction {warmup} warms all {len} records and leaves an \
+         empty measurement window"
+    );
+    warm
 }
 
 fn diff_stats(end: HierarchyStats, start: HierarchyStats) -> HierarchyStats {
@@ -624,10 +642,13 @@ mod tests {
         // `len * warmup` stays strictly below `len` (the real value
         // `len - len * 2^-53` never rounds up to `len`), so at least one
         // record is always measured — and the explicit assert in
-        // `run_warmed` guards the invariant should the computation ever
+        // `warm_records` guards the invariant should the computation ever
         // change. Before the accounting fix this scenario reported a
         // silent CPMA of 0.0; now it must always cost cycles.
         let warmup = f64::from_bits(0x3FEF_FFFF_FFFF_FFFF);
+        for len in [1usize, 2, 3, 1024, 32_700_000] {
+            assert!(warm_records(len, warmup) < len, "len {len}");
+        }
         for len in [1usize, 2, 3, 1024] {
             let mut b = TraceBuilder::new();
             for _ in 0..len {
@@ -674,7 +695,7 @@ mod tests {
         b.build()
     }
 
-    fn blocks_of(t: &Trace, block_len: usize) -> Vec<RecordBlock> {
+    fn blocks_of(t: &Trace, block_len: usize) -> Vec<Vec<PackedRecord>> {
         t.packed().chunks(block_len).map(<[_]>::to_vec).collect()
     }
 
@@ -682,7 +703,7 @@ mod tests {
     fn assert_blocks_match_run(cfg: EngineConfig, t: &Trace, dep_window: usize) {
         let batch = engine_with(cfg).run(t);
         for block_len in [1usize, 7, 64, 4096] {
-            let streamed = engine_with(cfg).run_blocks(blocks_of(t, block_len), dep_window);
+            let streamed = engine_with(cfg).run_blocks(blocks_of(t, block_len), 0, dep_window);
             assert_eq!(batch, streamed, "cfg {cfg:?}, block {block_len}");
         }
     }
@@ -718,12 +739,12 @@ mod tests {
     fn warm_prefix_boundary_mid_block_matches_run_warmed() {
         let t = mixed_trace(5_003);
         let warmed = engine().run_warmed(&t, 0.4);
-        let warm_records = (t.len() as f64 * 0.4) as usize;
+        let warm = warm_records(t.len(), 0.4);
         for block_len in [1usize, 7, 4096] {
             if block_len > 1 {
-                assert_ne!(warm_records % block_len, 0, "boundary falls mid-block");
+                assert_ne!(warm % block_len, 0, "boundary falls mid-block");
             }
-            let replayed = engine().replay(blocks_of(&t, block_len), warm_records, 64);
+            let replayed = engine().run_blocks(blocks_of(&t, block_len), warm, 64);
             assert_eq!(warmed, replayed, "block {block_len}");
             assert_eq!(warmed.cpma.to_bits(), replayed.cpma.to_bits());
         }
@@ -760,7 +781,7 @@ mod tests {
         // id == dep_window + 1, dep id == 0
         b.record_dep(CpuId::new(0), MemOp::Load, 64, 0, Some(first));
         let t = b.build();
-        let _ = engine().run_blocks(blocks_of(&t, 5), dep_window);
+        let _ = engine().run_blocks(blocks_of(&t, 5), 0, dep_window);
     }
 
     #[test]
@@ -773,7 +794,7 @@ mod tests {
         }
         b.record_dep(CpuId::new(0), MemOp::Load, 128, 0, Some(first));
         let t = b.build();
-        let _ = engine().run_blocks([t.packed().to_vec()], 16);
+        let _ = engine().run_blocks([t.packed().to_vec()], 0, 16);
     }
 
     #[test]

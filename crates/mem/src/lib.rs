@@ -59,6 +59,6 @@ pub use config::{
     MainMemoryConfig, StackedLevel,
 };
 pub use dram::{DramAccess, DramArray, PageOutcome};
-pub use engine::{Engine, EngineConfig, EngineConfigBuilder};
+pub use engine::{warm_records, Engine, EngineConfig, EngineConfigBuilder};
 pub use hierarchy::{AccessResult, MemoryHierarchy, ServiceLevel};
 pub use stats::{HierarchyStats, MemTelemetry, RunResult};

@@ -55,9 +55,13 @@ pub const STACKED_PAGE_EMPTY: &str = "mem.stacked.page_empty";
 pub const STACKED_PAGE_CONFLICTS: &str = "mem.stacked.page_conflicts";
 /// Trace records processed by the issue engine.
 pub const ENGINE_RECORDS: &str = "mem.engine.records";
+/// Span around one engine's replay of a Fig. 5 point under one stack
+/// option (`end` carries the `option` label). Emitted by the harness,
+/// which knows the option; declared here, with the layer it times.
+pub const EVENT_REPLAY: &str = "mem.replay";
 
-/// Every instrument name this crate may register, for the SL060 lint
-/// pass and the snapshot-coverage test.
+/// Every instrument and span name this crate may register or emit, for
+/// the SL060 lint pass and the snapshot-coverage test.
 pub const NAMES: &[&str] = &[
     ACCESSES,
     L1_HITS,
@@ -81,6 +85,7 @@ pub const NAMES: &[&str] = &[
     STACKED_PAGE_EMPTY,
     STACKED_PAGE_CONFLICTS,
     ENGINE_RECORDS,
+    EVENT_REPLAY,
 ];
 
 /// Handles for every hierarchy instrument, resolved once at

@@ -50,6 +50,6 @@ pub use error::TraceError;
 pub use interleave::interleave;
 pub use packed::PackedRecord;
 pub use record::{Addr, CpuId, MemOp, RecordId, TraceRecord};
-pub use sink::{RecordSink, StreamBuilder};
+pub use sink::{CountSink, RecordSink, StreamBuilder};
 pub use stats::{DepStats, FootprintStats, TraceStats};
 pub use stream::{Trace, TraceIntoIter, TraceIter};

@@ -6,7 +6,8 @@
 //! through a bounded channel while the simulator is already consuming them
 //! (streaming mode, via [`StreamBuilder`]). Both sinks assign the same
 //! dense ids and pack the same offsets, so a kernel produces bit-identical
-//! records through either.
+//! records through either. A [`CountSink`] stores nothing: it runs a kernel
+//! only to learn its record count and longest dependency edge.
 
 use crate::builder::TraceBuilder;
 use crate::chan::BlockSender;
@@ -154,13 +155,63 @@ impl RecordSink for StreamBuilder {
     }
 }
 
+/// A sink that stores nothing and measures the stream instead: its record
+/// count and its longest backward dependency distance. Running a kernel
+/// into it is the count-only pre-pass that sizes a streamed replay
+/// without materialising the trace.
+#[derive(Debug, Default)]
+pub struct CountSink {
+    emitted: u64,
+    max_dep: u64,
+}
+
+impl CountSink {
+    /// An empty counter.
+    pub fn new() -> Self {
+        CountSink::default()
+    }
+
+    /// The longest dependency distance emitted so far, in records (0 when
+    /// no record has a dependency) — what `max_dep_offset` would report
+    /// on the materialised trace.
+    pub fn max_dep(&self) -> u64 {
+        self.max_dep
+    }
+}
+
+impl RecordSink for CountSink {
+    fn record_dep(
+        &mut self,
+        _cpu: CpuId,
+        _op: MemOp,
+        _addr: Addr,
+        _ip: Addr,
+        dep: Option<RecordId>,
+    ) -> RecordId {
+        let id = RecordId::new(self.emitted);
+        if let Some(d) = dep {
+            assert!(
+                d < id,
+                "dependency {d} of record {id} must point to an earlier record"
+            );
+            self.max_dep = self.max_dep.max(id.raw() - d.raw());
+        }
+        self.emitted += 1;
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.emitted as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block_channel;
     use crate::stream::Trace;
 
-    fn emit<S: RecordSink>(sink: &mut S, n: u64) {
+    fn emit<S: RecordSink + ?Sized>(sink: &mut S, n: u64) {
         let mut prev = None;
         for i in 0..n {
             prev = Some(sink.record_dep(CpuId::new(0), MemOp::Load, i * 64, 0x400, prev));
@@ -188,6 +239,21 @@ mod tests {
             handle.join().unwrap();
             assert_eq!(Trace::from_packed(packed), batch, "block_len {block_len}");
         }
+    }
+
+    #[test]
+    fn count_sink_measures_what_the_trace_builder_stores() {
+        let mut b = TraceBuilder::new();
+        let mut c = CountSink::new();
+        for sink in [&mut b as &mut dyn RecordSink, &mut c] {
+            emit(sink, 100);
+            let first = RecordId::new(0);
+            sink.record_dep(CpuId::new(1), MemOp::Store, 0, 0, Some(first));
+        }
+        let trace = b.build();
+        assert_eq!(c.len(), trace.len());
+        assert_eq!(c.max_dep(), u64::from(trace.max_dep_offset()));
+        assert_eq!(c.max_dep(), 100);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 #![warn(missing_debug_implementations)]
 
 mod layout;
+pub mod obs;
 mod params;
 mod rms;
 mod sparse;
@@ -36,5 +37,5 @@ pub use layout::{AddressSpace, Region};
 pub use params::{ParamsError, Scale, WorkloadParams, WorkloadParamsBuilder};
 pub use rms::RmsBenchmark;
 pub use sparse::SparsePattern;
-pub use stream::TraceStream;
+pub use stream::{TraceShape, TraceStream};
 pub use tracer::{KernelTracer, ReduceChain};

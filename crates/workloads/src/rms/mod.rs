@@ -25,7 +25,7 @@ mod svm;
 use stacksim_trace::{interleave, RecordSink, Trace, TraceBuilder};
 
 use crate::params::WorkloadParams;
-use crate::stream::TraceStream;
+use crate::stream::{TraceShape, TraceStream};
 
 /// One of the RMS workloads of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,8 +132,9 @@ impl RmsBenchmark {
         interleave(&threads, params.chunk)
     }
 
-    /// Starts generating this benchmark's two-threaded SMP trace in the
-    /// background and returns a stream of fixed-size packed-record blocks.
+    /// Runs the count-only pre-pass, then starts generating this
+    /// benchmark's two-threaded SMP trace in the background and returns a
+    /// stream of fixed-size packed-record blocks.
     /// Concatenated, the blocks are bit-identical to
     /// [`generate`](RmsBenchmark::generate) — generation merely overlaps
     /// with whatever consumes the blocks (see `DESIGN.md` §14).
@@ -142,7 +143,7 @@ impl RmsBenchmark {
     ///
     /// Panics if `params.threads` is zero or `block_len` is zero.
     pub fn stream(&self, params: &WorkloadParams, block_len: usize) -> TraceStream {
-        TraceStream::spawn(*self, *params, block_len)
+        TraceStream::spawn(*self, *params, TraceShape::count(*self, params), block_len)
     }
 
     fn thread_trace(&self, params: &WorkloadParams, tid: usize) -> Trace {

@@ -9,23 +9,70 @@
 //! [`RmsBenchmark::generate`](crate::RmsBenchmark::generate) bit for bit —
 //! the channels carry *data*, never *ordering*, so timing and buffering
 //! cannot change the merged trace (see `DESIGN.md` §14).
+//!
+//! A stream knows its exact length and a tight dependency bound before the
+//! first block arrives: [`TraceShape`] comes from a count-only pre-pass
+//! that runs every kernel thread into a [`CountSink`], which stores nothing.
 
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 
-use stacksim_trace::StreamBuilder;
 use stacksim_trace::{block_channel, BlockReceiver, CpuId, PackedRecord, RecordBlock};
+use stacksim_trace::{CountSink, RecordSink, StreamBuilder};
 
 use crate::params::WorkloadParams;
 use crate::rms::RmsBenchmark;
 
-/// Per-thread window of remembered merged positions. Dependency edges
-/// reach at most this many records back *within one thread*; every RMS
-/// kernel stays far below it (reduction chains are tens of records deep).
-const POSITION_WINDOW: usize = 1 << 20;
-
 /// Blocks buffered per producer channel before the producer blocks.
 const CHANNEL_BLOCKS: usize = 8;
+
+/// What the count-only pre-pass learns about a benchmark's merged trace
+/// without storing a record of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceShape {
+    /// Merged record count — exactly the `len()` of
+    /// [`RmsBenchmark::generate`](crate::RmsBenchmark::generate).
+    pub records: usize,
+    /// Longest dependency edge within any one thread, in that thread's own
+    /// records.
+    pub thread_dep: usize,
+    /// An upper bound on every merged dependency distance (at least the
+    /// materialised trace's `max_dep_offset`).
+    pub dep_window: usize,
+}
+
+impl TraceShape {
+    /// Runs every kernel thread of `bench` into a [`CountSink`] and derives
+    /// the merged bounds.
+    ///
+    /// Within one thread an edge spans `d` own records. The round-robin
+    /// merge takes `chunk` own records per visit, so those `d` records
+    /// straddle at most `ceil(d / chunk)` visit boundaries, and at each the
+    /// other threads interpose at most `chunk` records apiece. The merged
+    /// distance is therefore at most
+    /// `d + ceil(d / chunk) · (threads − 1) · chunk`, monotone in `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.threads` or `params.chunk` is zero.
+    pub fn count(bench: RmsBenchmark, params: &WorkloadParams) -> TraceShape {
+        assert!(params.threads > 0, "need at least one thread");
+        assert!(params.chunk > 0, "interleave chunk must be positive");
+        let mut records = 0;
+        let mut thread_dep = 0;
+        for tid in 0..params.threads {
+            let sink = bench.emit_thread(CountSink::new(), params, tid);
+            records += sink.len();
+            thread_dep = thread_dep.max(sink.max_dep() as usize);
+        }
+        let interposed = thread_dep.div_ceil(params.chunk) * (params.threads - 1) * params.chunk;
+        TraceShape {
+            records,
+            thread_dep,
+            dep_window: thread_dep + interposed,
+        }
+    }
+}
 
 /// A live generate-while-simulate pipeline: per-thread producer threads
 /// plus the consumer-side round-robin interleaver, exposed as an iterator
@@ -37,7 +84,13 @@ const CHANNEL_BLOCKS: usize = 8;
 pub struct TraceStream {
     threads: Vec<ThreadState>,
     handles: Vec<JoinHandle<()>>,
+    shape: TraceShape,
     block_len: usize,
+    /// Producers not yet exhausted.
+    live: usize,
+    /// `map` index mask: a power of two at least the per-thread dependency
+    /// bound, minus one.
+    map_mask: usize,
     chunk: usize,
     /// Thread the round-robin is currently drawing from.
     cur_thread: usize,
@@ -57,15 +110,16 @@ struct ThreadState {
     exhausted: bool,
     /// Records consumed from this thread (the next record's own position).
     src: u64,
-    /// Merged position of the last `POSITION_WINDOW` own records, indexed
-    /// by own position modulo the window.
+    /// Merged position of the most recent own records, indexed by own
+    /// position masked by the stream's `map_mask`.
     map: Vec<u64>,
 }
 
 impl ThreadState {
     /// Takes the thread's next record, waiting on the channel if a block
-    /// is still in flight. `None` once the producer is done.
-    fn pop(&mut self) -> Option<PackedRecord> {
+    /// is still in flight. `None` once the producer is done; the first
+    /// `None` also takes the thread off the `live` count.
+    fn pop(&mut self, live: &mut usize) -> Option<PackedRecord> {
         if self.exhausted {
             return None;
         }
@@ -74,6 +128,7 @@ impl ThreadState {
                 Some(block) => self.buf.extend(block),
                 None => {
                     self.exhausted = true;
+                    *live -= 1;
                     return None;
                 }
             }
@@ -84,17 +139,26 @@ impl ThreadState {
 
 impl TraceStream {
     /// Starts generating `bench` with `params.threads` producer threads and
-    /// returns the merged stream in blocks of `block_len` records.
+    /// returns the merged stream in blocks of `block_len` records. `shape`
+    /// must be `TraceShape::count(bench, &params)`: it sizes the position
+    /// maps and fixes the stream's length and dependency bound up front.
     ///
     /// # Panics
     ///
     /// Panics if `params.threads` is zero (or above 256), `params.chunk`
-    /// is zero, or `block_len` is zero.
-    pub fn spawn(bench: RmsBenchmark, params: WorkloadParams, block_len: usize) -> TraceStream {
+    /// is zero, or `block_len` is zero. The stream also panics mid-way if
+    /// the kernels disagree with `shape`.
+    pub fn spawn(
+        bench: RmsBenchmark,
+        params: WorkloadParams,
+        shape: TraceShape,
+        block_len: usize,
+    ) -> TraceStream {
         assert!(params.threads > 0, "need at least one thread");
         assert!(params.threads <= 256, "at most 256 threads supported");
         assert!(params.chunk > 0, "interleave chunk must be positive");
         assert!(block_len > 0, "stream block length must be positive");
+        let map_len = shape.thread_dep.max(1).next_power_of_two();
         let mut threads = Vec::with_capacity(params.threads);
         let mut handles = Vec::with_capacity(params.threads);
         for tid in 0..params.threads {
@@ -109,13 +173,16 @@ impl TraceStream {
                 buf: VecDeque::new(),
                 exhausted: false,
                 src: 0,
-                map: vec![0; POSITION_WINDOW],
+                map: vec![0; map_len],
             });
         }
         TraceStream {
             threads,
             handles,
+            shape,
             block_len,
+            live: params.threads,
+            map_mask: map_len - 1,
             chunk: params.chunk,
             cur_thread: 0,
             taken_in_chunk: 0,
@@ -129,13 +196,24 @@ impl TraceStream {
         self.block_len
     }
 
-    /// An upper bound on the merged backward dependency distance: within
-    /// one thread an edge spans at most `POSITION_WINDOW` own records, and
-    /// while those drain every other thread interposes at most the same
-    /// span plus two partial chunks. Suitable as the `dep_window` argument
-    /// of the engine's block-streaming run.
+    /// Exact record count of the whole stream, known before the first
+    /// block (from the pre-pass).
+    pub fn records(&self) -> usize {
+        self.shape.records
+    }
+
+    /// An upper bound on every merged backward dependency distance (see
+    /// [`TraceShape::count`]). Suitable as the `dep_window` argument of the
+    /// engine's block-fed run.
     pub fn dep_window(&self) -> usize {
-        self.threads.len() * (POSITION_WINDOW + 2 * self.chunk)
+        self.shape.dep_window
+    }
+
+    /// Records the producers' channels hold when full. A trace no longer
+    /// than this gains nothing from streaming: it fits in the stream's own
+    /// buffers, so the whole of it may be in flight at once anyway.
+    pub fn buffer_records(threads: usize, block_len: usize) -> usize {
+        threads * CHANNEL_BLOCKS * block_len
     }
 
     /// Takes the next record in merged order, replicating the round-robin
@@ -143,13 +221,13 @@ impl TraceStream {
     /// thread visit, threads in index order, exhausted threads skipped.
     fn next_record(&mut self) -> Option<PackedRecord> {
         loop {
-            if self.threads.iter().all(|t| t.exhausted) {
+            if self.live == 0 {
                 self.join_producers();
                 return None;
             }
             if self.taken_in_chunk < self.chunk {
                 let ti = self.cur_thread;
-                if let Some(p) = self.threads[ti].pop() {
+                if let Some(p) = self.threads[ti].pop(&mut self.live) {
                     self.taken_in_chunk += 1;
                     return Some(self.remap(ti, p));
                 }
@@ -165,12 +243,13 @@ impl TraceStream {
     fn remap(&mut self, ti: usize, p: PackedRecord) -> PackedRecord {
         let st = &mut self.threads[ti];
         let dep_offset = if p.has_dep() {
-            let d = p.dep_offset() as u64;
+            let d = p.dep_offset() as usize;
             assert!(
-                d <= POSITION_WINDOW as u64,
-                "dependency distance {d} exceeds the streaming position window"
+                d <= self.shape.thread_dep,
+                "dependency distance {d} exceeds the pre-pass bound {}",
+                self.shape.thread_dep
             );
-            let producer = st.map[((st.src - d) as usize) % POSITION_WINDOW];
+            let producer = st.map[(st.src as usize - d) & self.map_mask];
             let dist = self.merged - producer;
             assert!(
                 dist <= u64::from(u32::MAX),
@@ -180,19 +259,24 @@ impl TraceStream {
         } else {
             0
         };
-        st.map[(st.src as usize) % POSITION_WINDOW] = self.merged;
+        st.map[st.src as usize & self.map_mask] = self.merged;
         st.src += 1;
         self.merged += 1;
         PackedRecord::new(CpuId::new(ti as u8), p.op(), p.addr, p.ip, dep_offset)
     }
 
-    /// Joins finished producers, propagating any kernel panic.
+    /// Joins finished producers, propagating any kernel panic, and checks
+    /// the merged length against the pre-pass.
     fn join_producers(&mut self) {
         for h in self.handles.drain(..) {
             if let Err(payload) = h.join() {
                 std::panic::resume_unwind(payload);
             }
         }
+        assert_eq!(
+            self.merged, self.shape.records as u64,
+            "the stream's length disagrees with its pre-pass count"
+        );
     }
 }
 
@@ -284,13 +368,39 @@ mod tests {
     #[test]
     fn dep_window_bounds_every_merged_edge() {
         let p = WorkloadParams::test();
-        let stream = RmsBenchmark::Svm.stream(&p, 512);
-        let window = stream.dep_window();
-        let mut pos = 0u64;
-        for block in stream {
-            for r in block {
-                assert!(u64::from(r.dep_offset()) <= window as u64, "at {pos}");
-                pos += 1;
+        for b in RmsBenchmark::all() {
+            let batch = b.generate(&p);
+            let stream = b.stream(&p, 512);
+            let window = stream.dep_window();
+            assert!(window >= batch.max_dep_offset() as usize, "{b}");
+            let mut pos = 0u64;
+            for block in stream {
+                for r in block {
+                    assert!(r.dep_offset() as usize <= window, "{b} at {pos}");
+                    pos += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pre_pass_counts_exactly_what_generate_stores() {
+        for threads in [1usize, 2, 4] {
+            let p = WorkloadParams::builder()
+                .scale(crate::Scale::Test)
+                .threads(threads)
+                .build();
+            for b in RmsBenchmark::all() {
+                let batch = b.generate(&p);
+                let shape = TraceShape::count(b, &p);
+                assert_eq!(shape.records, batch.len(), "{b}, threads {threads}");
+                assert!(
+                    shape.dep_window >= batch.max_dep_offset() as usize,
+                    "{b}, threads {threads}: bound {} < {}",
+                    shape.dep_window,
+                    batch.max_dep_offset()
+                );
+                assert_eq!(b.stream(&p, 4096).records(), batch.len());
             }
         }
     }

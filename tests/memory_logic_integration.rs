@@ -2,7 +2,7 @@
 //! spanning `stacksim-workloads`, `stacksim-trace`, `stacksim-mem` and
 //! `stacksim-core`.
 
-use stacksim::core::memory_logic::run_benchmark_instrumented;
+use stacksim::core::memory_logic::{run_benchmark_instrumented, WARMUP_FRACTION};
 use stacksim::core::StackOption;
 use stacksim::mem::{Engine, EngineConfig, MemoryHierarchy, ServiceLevel};
 use stacksim::trace::{CpuId, MemOp, TraceStats};
@@ -114,4 +114,28 @@ fn capacity_sensitive_benchmarks_improve_with_the_stack_at_paper_scale() {
         "dSym @32MB reduction {:.2}",
         flat.cpma_reduction(2)
     );
+}
+
+#[test]
+#[ignore = "paper scale: ~4 M records; run in CI with --release -- --ignored"]
+fn paper_scale_streamed_point_matches_generate_and_run_warmed() {
+    // sAVDF is the smallest paper-scale trace, and still far longer than
+    // the generation stream's buffers, so the harness streams it: one
+    // generation pass fanned out to four engine threads
+    let params = WorkloadParams::paper();
+    let (row, _) = run_benchmark_instrumented(RmsBenchmark::SAvdf, &params).unwrap();
+    let trace = RmsBenchmark::SAvdf.generate(&params);
+    for (i, option) in StackOption::all().into_iter().enumerate() {
+        let mut engine = Engine::new(
+            MemoryHierarchy::new(option.hierarchy()).expect("valid preset"),
+            EngineConfig::default(),
+        );
+        let batch = engine.run_warmed(&trace, WARMUP_FRACTION);
+        assert_eq!(row.cpma[i].to_bits(), batch.cpma.to_bits(), "{option} cpma");
+        assert_eq!(
+            row.bandwidth[i].to_bits(),
+            batch.offdie_gb_per_sec.to_bits(),
+            "{option} bandwidth"
+        );
+    }
 }

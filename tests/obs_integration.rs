@@ -72,6 +72,18 @@ fn run_with_observability_produces_valid_artifacts() {
         "expected run + experiment spans, got {}",
         es.spans
     );
+    // one generation span for the point, one replay span per stack option
+    let ends = |name: &str| {
+        let name = format!("\"name\":\"{name}\"");
+        events
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"end\"") && l.contains(&name))
+            .count()
+    };
+    assert_eq!(ends("workloads.generate"), 1);
+    assert_eq!(ends("mem.replay"), 4);
+    assert!(events.contains("\"bench\":\"gauss\""));
+    assert!(events.contains("\"option\":\"3D 32MB\""));
 
     let rendered = obs_report::render_snapshot(&text).unwrap();
     assert!(rendered.contains("mem.accesses"));
