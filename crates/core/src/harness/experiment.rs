@@ -38,7 +38,7 @@ pub trait Experiment: Send + Sync {
 
     /// Which [`WorkloadParams`] fields this experiment's result depends on.
     /// The digest-coverage audit (`SL050`/`SL051`) perturbs each field and
-    /// verifies the declaration against [`params_digest`]'s actual
+    /// verifies the declaration against [`params_digest`](Self::params_digest)'s actual
     /// behaviour, so a new config field cannot silently alias cache
     /// entries. Defaults to "sensitive to everything" — the safe answer
     /// for experiments that thread the whole parameter set through.

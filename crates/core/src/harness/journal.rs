@@ -50,7 +50,7 @@ use crate::error::Error;
 /// Schema tag of every journal record.
 pub const JOURNAL_SCHEMA: &str = "stacksim-journal/1";
 
-/// An open, append-only request journal. See the [module docs](self).
+/// An open, append-only request journal. See the `journal` module docs.
 #[derive(Debug)]
 pub struct RequestJournal {
     path: PathBuf,
@@ -71,7 +71,7 @@ pub struct JournalRecovery {
 
 impl RequestJournal {
     /// Recovers the journal at `path`: moves any previous file aside,
-    /// parses it, and opens a fresh journal. See the [module docs](self)
+    /// parses it, and opens a fresh journal. See the `journal` module docs
     /// for the crash-safety argument.
     ///
     /// # Errors

@@ -656,7 +656,7 @@ impl SimBuilder {
 }
 
 /// A long-lived simulation session: submit [`ExperimentRequest`]s, poll
-/// or await their [`RequestHandle`]s. See the [module docs](self) for the
+/// or await their [`RequestHandle`]s. See the `session` module docs for the
 /// request lifecycle.
 pub struct Sim {
     inner: Arc<Inner>,

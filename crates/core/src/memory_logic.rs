@@ -212,13 +212,13 @@ fn run_streamed(
 
 /// Hands every block of `stream` to each consumer — one thread and one
 /// bounded channel per consumer — and returns their results in order.
-/// `generating` closes once the stream is exhausted.
+/// `generating` (a span guard) is dropped once the stream is exhausted.
 ///
 /// A consumer hangs up only by panicking, which stops the feed; a kernel
 /// panic unwinds out of the stream. Either way every producer and consumer
 /// thread is joined before the first panic is re-raised here, so a failure
 /// can neither deadlock nor leak a thread.
-fn fan_out<R, F>(stream: TraceStream, generating: Span, consumers: Vec<F>) -> Vec<R>
+fn fan_out<R, F, G>(stream: TraceStream, generating: G, consumers: Vec<F>) -> Vec<R>
 where
     R: Send,
     F: FnOnce(Receiver<Arc<RecordBlock>>) -> R + Send,
@@ -260,13 +260,30 @@ fn engine(option: StackOption) -> Result<Engine, Error> {
     Ok(Engine::new(hierarchy, EngineConfig::default()))
 }
 
-/// The `workloads.generate` span of one point.
-fn generate_span(benchmark: RmsBenchmark, shape: TraceShape, count_us: u64) -> Span {
+/// The open `workloads.generate` span of one point. Dropping it closes
+/// the span with the span's own wall time as `wall_us`.
+struct Generating {
+    span: Span,
+    start: Instant,
+}
+
+impl Drop for Generating {
+    fn drop(&mut self) {
+        let wall_us = self.start.elapsed().as_micros() as u64;
+        self.span.field("wall_us", wall_us);
+    }
+}
+
+/// Opens the `workloads.generate` span of one point.
+fn generate_span(benchmark: RmsBenchmark, shape: TraceShape, count_us: u64) -> Generating {
     let mut span = stacksim_obs::span(stacksim_workloads::obs::EVENT_GENERATE);
     span.field("bench", benchmark.name());
     span.field("records", shape.records);
     span.field("count_us", count_us);
-    span
+    Generating {
+        span,
+        start: Instant::now(),
+    }
 }
 
 /// The `mem.replay` span of one option's engine.

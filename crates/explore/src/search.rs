@@ -112,7 +112,7 @@ impl Evolver {
     }
 
     /// The next wave: up to `n` offspring mutated (±1 per axis with
-    /// probability [`MUTATE_P`]) from the current frontier `parents`,
+    /// probability `MUTATE_P`) from the current frontier `parents`,
     /// deduplicated against everything already evaluated and topped up
     /// with random unseen points. Canonically sorted. Empty once the
     /// space is exhausted.

@@ -12,7 +12,7 @@
 //! * the Logic+Logic fold of Fig. 10: re-placing the planar design onto two
 //!   half-footprint dies with iterative hotspot repair (§4's "placing
 //!   blocks, observing the new power densities and repairing outliers") —
-//!   [`fold`].
+//!   [`fold`](mod@fold).
 //!
 //! Power maps rasterised from these floorplans feed the `stacksim-thermal`
 //! solver.

@@ -2,7 +2,7 @@
 //! workspace's hand-rolled synchronisation.
 //!
 //! The container has no `loom`, so this crate carries a small
-//! stand-alone explorer ([`explore`]) and hand-translated models of the
+//! stand-alone explorer ([`explore`](mod@explore)) and hand-translated models of the
 //! two pieces of coordination the static auditor (SA004/SA005) can only
 //! approximate structurally:
 //!

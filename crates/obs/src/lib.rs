@@ -8,7 +8,7 @@
 //! # Overhead contract
 //!
 //! Every hot-path recording method ([`Counter::add`], [`Gauge::set`],
-//! [`Histogram::record`], [`span`], [`event`]) starts with a branch on a
+//! [`Histogram::record`], [`span`], [`event`](fn@event)) starts with a branch on a
 //! single relaxed atomic load ([`enabled`]). While observability is
 //! disabled — the default — that branch is the *entire* cost: no locks,
 //! no allocation, no time-stamping, and crucially no floating-point
@@ -20,7 +20,7 @@
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — cheap `Arc`-backed handles
 //!   resolved once from the [`Registry`] (typically at component
 //!   construction time) and then touched lock-free on the hot path.
-//! * [`span`] / [`event`] — structured records pushed to an installed
+//! * [`span`] / [`event`](fn@event) — structured records pushed to an installed
 //!   [`EventSink`] (e.g. [`JsonlSink`]) with monotonic microsecond
 //!   timestamps. Spans emit paired `begin` / `end` lines.
 //! * [`Registry::snapshot`] — a deterministic, schema-stable JSON

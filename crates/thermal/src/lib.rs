@@ -7,11 +7,11 @@
 //! face-to-face two-die structure of Fig. 1.
 //!
 //! * [`materials`] — the Table 2 constants.
-//! * [`stack`] — layered stacks: [`LayerStack::planar`] (Fig. 2) and
+//! * `stack` — layered stacks: [`LayerStack::planar`] (Fig. 2) and
 //!   [`LayerStack::two_die`] (Fig. 1).
-//! * [`solver`] — the finite-volume conduction solver (the paper uses FEM;
+//! * `solver` — the finite-volume conduction solver (the paper uses FEM;
 //!   both discretise the same conservation law on the same geometry).
-//! * [`resistor`] — a 1-D resistor-stack cross-check model.
+//! * `resistor` — a 1-D resistor-stack cross-check model.
 //! * [`sweep`] — conductivity sensitivity sweeps (Fig. 3).
 //!
 //! # Example

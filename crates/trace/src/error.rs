@@ -1,13 +1,12 @@
-//! Error type for trace construction, validation and (de)serialisation.
+//! Error type for trace construction and validation.
 
 use std::error::Error;
 use std::fmt;
-use std::io;
 
 use crate::record::RecordId;
 
-/// Errors produced while building, validating or decoding traces.
-#[derive(Debug)]
+/// Errors produced while building or validating traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceError {
     /// A record depends on a record with an equal or later id.
     ForwardDependency {
@@ -23,16 +22,6 @@ pub enum TraceError {
         /// The id actually found there.
         found: RecordId,
     },
-    /// The binary stream did not start with the expected magic bytes.
-    BadMagic,
-    /// The binary stream uses an unsupported format version.
-    UnsupportedVersion(u8),
-    /// An operation tag in the binary stream was invalid.
-    BadOpTag(u8),
-    /// The binary stream ended in the middle of a record.
-    Truncated,
-    /// An underlying I/O error.
-    Io(io::Error),
 }
 
 impl fmt::Display for TraceError {
@@ -47,29 +36,11 @@ impl fmt::Display for TraceError {
                     "record at position {position} has id {found}, expected #{position}"
                 )
             }
-            TraceError::BadMagic => write!(f, "stream does not start with trace magic"),
-            TraceError::UnsupportedVersion(v) => write!(f, "unsupported trace format version {v}"),
-            TraceError::BadOpTag(t) => write!(f, "invalid memory operation tag {t}"),
-            TraceError::Truncated => write!(f, "trace stream ended mid-record"),
-            TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
         }
     }
 }
 
-impl Error for TraceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TraceError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for TraceError {
-    fn from(e: io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
+impl Error for TraceError {}
 
 #[cfg(test)]
 mod tests {
@@ -77,7 +48,7 @@ mod tests {
 
     #[test]
     fn display_is_nonempty_for_all_variants() {
-        let variants: Vec<TraceError> = vec![
+        let variants = [
             TraceError::ForwardDependency {
                 record: RecordId::new(1),
                 dep: RecordId::new(2),
@@ -86,21 +57,10 @@ mod tests {
                 position: 3,
                 found: RecordId::new(7),
             },
-            TraceError::BadMagic,
-            TraceError::UnsupportedVersion(9),
-            TraceError::BadOpTag(200),
-            TraceError::Truncated,
-            TraceError::Io(io::Error::other("boom")),
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());
             assert!(!format!("{v:?}").is_empty());
         }
-    }
-
-    #[test]
-    fn io_error_preserves_source() {
-        let e = TraceError::from(io::Error::new(io::ErrorKind::UnexpectedEof, "eof"));
-        assert!(e.source().is_some());
     }
 }

@@ -33,10 +33,8 @@
 #![warn(missing_debug_implementations)]
 
 mod builder;
-mod chan;
-mod codec;
 mod error;
-mod interleave;
+mod merge;
 mod packed;
 mod record;
 mod sink;
@@ -44,10 +42,8 @@ mod stats;
 mod stream;
 
 pub use builder::TraceBuilder;
-pub use chan::{block_channel, BlockReceiver, BlockSender, RecordBlock};
-pub use codec::{read_trace, write_trace};
 pub use error::TraceError;
-pub use interleave::interleave;
+pub use merge::{Merge, RecordBlock};
 pub use packed::PackedRecord;
 pub use record::{Addr, CpuId, MemOp, RecordId, TraceRecord};
 pub use sink::{CountSink, RecordSink, StreamBuilder};

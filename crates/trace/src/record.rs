@@ -100,22 +100,12 @@ impl MemOp {
         matches!(self, MemOp::Store)
     }
 
-    /// A compact tag used by the binary codec.
+    /// The compact tag stored in a [`PackedRecord`](crate::PackedRecord).
     pub(crate) const fn tag(self) -> u8 {
         match self {
             MemOp::Load => 0,
             MemOp::Store => 1,
             MemOp::IFetch => 2,
-        }
-    }
-
-    /// Inverse of [`MemOp::tag`].
-    pub(crate) const fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(MemOp::Load),
-            1 => Some(MemOp::Store),
-            2 => Some(MemOp::IFetch),
-            _ => None,
         }
     }
 }
@@ -198,14 +188,6 @@ mod tests {
         assert!(MemOp::Store.is_write());
         assert!(!MemOp::Store.is_read());
         assert!(!MemOp::Load.is_write());
-    }
-
-    #[test]
-    fn mem_op_tag_roundtrip() {
-        for op in [MemOp::Load, MemOp::Store, MemOp::IFetch] {
-            assert_eq!(MemOp::from_tag(op.tag()), Some(op));
-        }
-        assert_eq!(MemOp::from_tag(9), None);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! records through either. A [`CountSink`] stores nothing: it runs a kernel
 //! only to learn its record count and longest dependency edge.
 
+use std::sync::mpsc::SyncSender;
+
 use crate::builder::TraceBuilder;
-use crate::chan::BlockSender;
+use crate::merge::RecordBlock;
 use crate::packed::PackedRecord;
 use crate::record::{Addr, CpuId, MemOp, RecordId};
 
@@ -59,8 +61,8 @@ impl RecordSink for TraceBuilder {
     }
 }
 
-/// A sink that packs records into fixed-size blocks and pushes each full
-/// block through a bounded [`block_channel`](crate::block_channel).
+/// A sink that packs records into fixed-size blocks and sends each full
+/// block on a bounded channel ([`std::sync::mpsc::sync_channel`]).
 ///
 /// The records that flow through are identical to what a [`TraceBuilder`]
 /// would store — same dense ids, same packed offsets — only the batching
@@ -68,8 +70,8 @@ impl RecordSink for TraceBuilder {
 /// batch run.
 #[derive(Debug)]
 pub struct StreamBuilder {
-    tx: BlockSender,
-    block: Vec<PackedRecord>,
+    tx: SyncSender<RecordBlock>,
+    block: RecordBlock,
     block_len: usize,
     emitted: u64,
     /// Set once the receiver hangs up; later blocks are dropped cheaply.
@@ -82,7 +84,7 @@ impl StreamBuilder {
     /// # Panics
     ///
     /// Panics if `block_len` is zero.
-    pub fn new(tx: BlockSender, block_len: usize) -> Self {
+    pub fn new(tx: SyncSender<RecordBlock>, block_len: usize) -> Self {
         assert!(block_len > 0, "stream block length must be positive");
         StreamBuilder {
             tx,
@@ -104,7 +106,8 @@ impl StreamBuilder {
             return;
         }
         let block = std::mem::replace(&mut self.block, Vec::with_capacity(self.block_len));
-        if !self.tx.send(block) {
+        // a failed send means the consumer hung up
+        if self.tx.send(block).is_err() {
             self.hung_up = true;
         }
     }
@@ -208,8 +211,8 @@ impl RecordSink for CountSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_channel;
     use crate::stream::Trace;
+    use std::sync::mpsc::sync_channel;
 
     fn emit<S: RecordSink + ?Sized>(sink: &mut S, n: u64) {
         let mut prev = None;
@@ -224,15 +227,16 @@ mod tests {
         emit(&mut b, 1000);
         let batch = b.build();
 
-        for block_len in [1usize, 7, 64, 4096] {
-            let (tx, rx) = block_channel(4);
+        // capacity 1 forces strict producer/consumer alternation
+        for (block_len, capacity) in [(1usize, 1usize), (7, 4), (64, 1), (4096, 4)] {
+            let (tx, rx) = sync_channel(capacity);
             let handle = std::thread::spawn(move || {
                 let mut s = StreamBuilder::new(tx, block_len);
                 emit(&mut s, 1000);
                 s.finish();
             });
             let mut packed = Vec::new();
-            while let Some(block) = rx.recv() {
+            for block in rx {
                 assert!(block.len() <= block_len);
                 packed.extend(block);
             }
@@ -258,18 +262,18 @@ mod tests {
 
     #[test]
     fn partial_final_block_is_flushed_by_finish() {
-        let (tx, rx) = block_channel(4);
+        let (tx, rx) = sync_channel(4);
         let mut s = StreamBuilder::new(tx, 64);
         emit(&mut s, 10);
         s.finish();
         let block = rx.recv().unwrap();
         assert_eq!(block.len(), 10);
-        assert!(rx.recv().is_none());
+        assert!(rx.recv().is_err());
     }
 
     #[test]
     fn hung_up_receiver_does_not_block_the_producer() {
-        let (tx, rx) = block_channel(1);
+        let (tx, rx) = sync_channel(1);
         drop(rx);
         let mut s = StreamBuilder::new(tx, 4);
         emit(&mut s, 1000); // would deadlock without hangup detection

@@ -10,9 +10,9 @@ use crate::record::{CpuId, RecordId, TraceRecord};
 /// record `i` has the implicit id `#i` and its dependency is a bounded
 /// backward offset. The invariant that every dependency points at an
 /// earlier record is therefore structural: the packed layout cannot even
-/// express a forward edge. Construction from [`TraceRecord`]s (e.g. after
-/// decoding from disk) notes the first invariant violation it encounters,
-/// and [`Trace::validate`] reports it.
+/// express a forward edge. Construction from [`TraceRecord`]s notes the
+/// first invariant violation it encounters, and [`Trace::validate`]
+/// reports it.
 ///
 /// The trace also tracks two aggregates the simulator's hot path wants in
 /// O(1): the number of CPUs ([`Trace::cpu_count`]) and the largest backward
@@ -25,32 +25,8 @@ pub struct Trace {
     max_dep: u32,
     /// One past the largest cpu index seen (0 for an empty trace).
     cpu_limit: u32,
-    /// First invariant violation seen while converting from `TraceRecord`s,
-    /// with the position it occurred at.
-    defect: Option<(u64, Defect)>,
-}
-
-/// A recorded invariant violation. [`TraceError`] itself is not `Clone`
-/// (it carries `io::Error`), so the violation is stored in this mirrored
-/// form and converted on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Defect {
-    NonMonotonicId { found: RecordId },
-    ForwardDependency { record: RecordId, dep: RecordId },
-}
-
-impl Defect {
-    fn to_error(self, at: u64) -> TraceError {
-        match self {
-            Defect::NonMonotonicId { found } => TraceError::NonMonotonicId {
-                position: at,
-                found,
-            },
-            Defect::ForwardDependency { record, dep } => {
-                TraceError::ForwardDependency { record, dep }
-            }
-        }
-    }
+    /// First invariant violation seen while converting from `TraceRecord`s.
+    defect: Option<TraceError>,
 }
 
 impl Trace {
@@ -138,19 +114,19 @@ impl Trace {
     fn push_record(&mut self, r: TraceRecord) {
         let i = self.packed.len() as u64;
         if self.defect.is_none() && r.id.raw() != i {
-            self.defect = Some((i, Defect::NonMonotonicId { found: r.id }));
+            self.defect = Some(TraceError::NonMonotonicId {
+                position: i,
+                found: r.id,
+            });
         }
         let dep_offset = match r.dep {
             None => 0,
             Some(d) if d >= r.id || d.raw() >= i => {
                 if self.defect.is_none() {
-                    self.defect = Some((
-                        i,
-                        Defect::ForwardDependency {
-                            record: r.id,
-                            dep: d,
-                        },
-                    ));
+                    self.defect = Some(TraceError::ForwardDependency {
+                        record: r.id,
+                        dep: d,
+                    });
                 }
                 0
             }
@@ -234,10 +210,7 @@ impl Trace {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), TraceError> {
-        match self.defect {
-            Some((at, d)) => Err(d.to_error(at)),
-            None => Ok(()),
-        }
+        self.defect.map_or(Ok(()), Err)
     }
 
     /// Truncates the trace to at most `n` records, recomputing the cpu
@@ -247,10 +220,15 @@ impl Trace {
             return;
         }
         self.packed.truncate(n);
-        if let Some((at, _)) = self.defect {
-            if at >= n as u64 {
-                self.defect = None;
-            }
+        let defect_at = match self.defect {
+            Some(TraceError::NonMonotonicId { position, .. }) => position,
+            // a forward edge is the first defect only if its record's id
+            // matched its position
+            Some(TraceError::ForwardDependency { record, .. }) => record.raw(),
+            None => u64::MAX,
+        };
+        if defect_at >= n as u64 {
+            self.defect = None;
         }
         let mut max_dep = 0u32;
         let mut cpu_limit = 0u32;

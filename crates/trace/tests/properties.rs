@@ -1,12 +1,15 @@
 //! Randomized property tests for the packed trace pipeline: conversions
-//! between the wide and packed record forms must be lossless, and the
+//! between the wide and packed record forms must be lossless, the
 //! streaming sink must reproduce the batch builder for any emission
-//! pattern. Inputs are drawn from a deterministic family of seeds so
-//! failures reproduce exactly.
+//! pattern, and the round-robin merge must agree with a naive reference.
+//! Inputs are drawn from a deterministic family of seeds so failures
+//! reproduce exactly.
+
+use std::sync::mpsc::sync_channel;
 
 use stacksim_rng::StdRng;
 use stacksim_trace::{
-    block_channel, CpuId, MemOp, PackedRecord, RecordId, RecordSink, StreamBuilder, Trace,
+    CpuId, MemOp, Merge, PackedRecord, RecordBlock, RecordId, RecordSink, StreamBuilder, Trace,
     TraceBuilder, TraceRecord,
 };
 
@@ -117,7 +120,7 @@ fn stream_builder_matches_batch_for_random_emissions() {
             batch.record_dep(r.cpu, r.op, r.addr, r.ip, r.dep);
         }
 
-        let (tx, rx) = block_channel(4);
+        let (tx, rx) = sync_channel(4);
         let sent = emissions.clone();
         let producer = std::thread::spawn(move || {
             let mut s = StreamBuilder::new(tx, block_len);
@@ -126,10 +129,7 @@ fn stream_builder_matches_batch_for_random_emissions() {
             }
             s.finish();
         });
-        let mut packed = Vec::new();
-        while let Some(block) = rx.recv() {
-            packed.extend(block);
-        }
+        let packed: Vec<PackedRecord> = rx.into_iter().flatten().collect();
         producer.join().unwrap();
         assert_eq!(
             Trace::from_packed(packed),
@@ -137,4 +137,110 @@ fn stream_builder_matches_batch_for_random_emissions() {
             "case {case}, block_len {block_len}"
         );
     }
+}
+
+/// The round-robin merge, naively: whole thread traces and the merged
+/// position of every record of every thread.
+fn naive_merge(threads: &[Trace], chunk: usize) -> Vec<PackedRecord> {
+    let mut out: Vec<PackedRecord> = Vec::new();
+    let mut maps: Vec<Vec<usize>> = vec![Vec::new(); threads.len()];
+    let mut cursors = vec![0usize; threads.len()];
+    loop {
+        let mut progressed = false;
+        for (ti, t) in threads.iter().enumerate() {
+            let end = (cursors[ti] + chunk).min(t.len());
+            for (src, p) in t.packed().iter().enumerate().take(end).skip(cursors[ti]) {
+                let pos = out.len();
+                maps[ti].push(pos);
+                let dep = if p.has_dep() {
+                    (pos - maps[ti][src - p.dep_offset() as usize]) as u32
+                } else {
+                    0
+                };
+                out.push(PackedRecord::new(
+                    CpuId::new(ti as u8),
+                    p.op(),
+                    p.addr,
+                    p.ip,
+                    dep,
+                ));
+                progressed = true;
+            }
+            cursors[ti] = end;
+        }
+        if !progressed {
+            return out;
+        }
+    }
+}
+
+/// A random thread trace of `n` records, each depending on a random
+/// earlier record half the time.
+fn any_thread(rng: &mut StdRng, n: u64) -> Trace {
+    let mut b = TraceBuilder::new();
+    for id in 0..n {
+        let dep = (id > 0 && rng.gen_bool(0.5)).then(|| RecordId::new(rng.gen_range(0..id)));
+        let cpu = CpuId::new(rng.gen_range(0..4u32) as u8);
+        b.record_dep(cpu, any_op(rng), rng.gen_range(0..1 << 40), id, dep);
+    }
+    b.build()
+}
+
+/// For random thread traces with dependencies, including empty and uneven
+/// threads, the merge equals the naive reference at every chunk and
+/// source block length, however its output is cut. Each thread's records
+/// come back out of the merged trace unchanged but for their cpu label.
+#[test]
+fn merge_matches_the_naive_round_robin() {
+    for case in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x3e76e ^ case);
+        let threads: Vec<Trace> = (0..rng.gen_range(1..=5usize))
+            .map(|_| {
+                let n = if rng.gen_bool(0.2) {
+                    0
+                } else {
+                    rng.gen_range(1..600u64)
+                };
+                any_thread(&mut rng, n)
+            })
+            .collect();
+        let dep_bound = threads.iter().map(Trace::max_dep_offset).max().unwrap_or(0);
+        for chunk in [1usize, 7, 32] {
+            let expected = naive_merge(&threads, chunk);
+            for block_len in [1usize, 7, 4096] {
+                let sources = threads.iter().map(|t| {
+                    let blocks: Vec<RecordBlock> =
+                        t.packed().chunks(block_len).map(<[_]>::to_vec).collect();
+                    blocks.into_iter()
+                });
+                let mut merge = Merge::new(sources, chunk, dep_bound as usize);
+                let mut merged = Vec::new();
+                loop {
+                    let before = merged.len();
+                    let max = rng.gen_range(1..100usize);
+                    merge.fill(&mut merged, max);
+                    if merged.len() - before < max {
+                        break;
+                    }
+                }
+                let what = format!("case {case}, chunk {chunk}, block_len {block_len}");
+                assert_eq!(merged, expected, "{what}");
+                assert_eq!(merge.merged(), merged.len() as u64, "{what}");
+                let merged = Trace::from_packed(merged);
+                for (ti, t) in threads.iter().enumerate() {
+                    let cpu = CpuId::new(ti as u8);
+                    let relabelled: Trace = t
+                        .packed()
+                        .iter()
+                        .map(|p| PackedRecord::new(cpu, p.op(), p.addr, p.ip, p.dep_offset()))
+                        .collect();
+                    assert_eq!(merged.per_cpu(cpu), relabelled, "{what}, thread {ti}");
+                }
+            }
+        }
+    }
+    let mut none = Merge::new(Vec::<std::vec::IntoIter<RecordBlock>>::new(), 1, 0);
+    let mut merged = Vec::new();
+    none.fill(&mut merged, 8);
+    assert!(merged.is_empty());
 }

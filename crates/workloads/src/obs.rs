@@ -8,9 +8,9 @@
 /// Component tag of every name this crate owns.
 pub const COMPONENT: &str = "workloads";
 
-/// Span around generating one Fig. 5 point's trace, from the count-only
-/// pre-pass to the last record (`end` carries `bench`, `records` and the
-/// pre-pass time `count_us`).
+/// Span around generating one Fig. 5 point's trace, after the count-only
+/// pre-pass up to the last record (`end` carries `bench`, `records`, the
+/// pre-pass time `count_us` and the span's own duration `wall_us`).
 pub const EVENT_GENERATE: &str = "workloads.generate";
 
 /// Every name this crate may register or emit.

@@ -22,7 +22,7 @@ mod spmv;
 mod svd;
 mod svm;
 
-use stacksim_trace::{interleave, RecordSink, Trace, TraceBuilder};
+use stacksim_trace::{Merge, RecordSink, Trace, TraceBuilder};
 
 use crate::params::WorkloadParams;
 use crate::stream::{TraceShape, TraceStream};
@@ -119,7 +119,9 @@ impl RmsBenchmark {
         )
     }
 
-    /// Generates the two-threaded SMP trace for this benchmark.
+    /// Generates the two-threaded SMP trace for this benchmark: each
+    /// thread's trace in turn on the calling thread, then the round-robin
+    /// [`Merge`] of the thread traces.
     ///
     /// # Panics
     ///
@@ -129,7 +131,15 @@ impl RmsBenchmark {
         let threads: Vec<Trace> = (0..params.threads)
             .map(|tid| self.thread_trace(params, tid))
             .collect();
-        interleave(&threads, params.chunk)
+        let records = threads.iter().map(Trace::len).sum();
+        let dep_bound = threads.iter().map(Trace::max_dep_offset).max();
+        let sources = threads
+            .into_iter()
+            .map(|t| std::iter::once(t.into_packed()));
+        let mut merged = Vec::with_capacity(records);
+        Merge::new(sources, params.chunk, dep_bound.unwrap_or(0) as usize)
+            .fill(&mut merged, records);
+        Trace::from_packed(merged)
     }
 
     /// Runs the count-only pre-pass, then starts generating this

@@ -1,24 +1,22 @@
 //! Generate-while-simulate: background trace generation as a block stream.
 //!
 //! [`TraceStream`] runs one producer thread per workload thread, each
-//! emitting its kernel's records through a bounded
-//! [`block_channel`](stacksim_trace::block_channel), and interleaves the
-//! per-thread streams on the consumer side with exactly the round-robin
-//! merge [`interleave`](stacksim_trace::interleave) performs on whole
-//! traces. Concatenating the yielded blocks therefore reproduces
-//! [`RmsBenchmark::generate`](crate::RmsBenchmark::generate) bit for bit —
-//! the channels carry *data*, never *ordering*, so timing and buffering
-//! cannot change the merged trace (see `DESIGN.md` §14).
+//! sending its kernel's records in blocks on a bounded
+//! [`sync_channel`], and feeds the receiving ends to the same round-robin
+//! [`Merge`] that [`RmsBenchmark::generate`](crate::RmsBenchmark::generate)
+//! runs over whole thread traces. Concatenating the yielded blocks
+//! therefore reproduces `generate` bit for bit — the channels carry
+//! *data*, never *ordering*, so timing and buffering cannot change the
+//! merged trace (see `DESIGN.md` §14).
 //!
 //! A stream knows its exact length and a tight dependency bound before the
 //! first block arrives: [`TraceShape`] comes from a count-only pre-pass
 //! that runs every kernel thread into a [`CountSink`], which stores nothing.
 
-use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, IntoIter, Receiver};
 use std::thread::JoinHandle;
 
-use stacksim_trace::{block_channel, BlockReceiver, CpuId, PackedRecord, RecordBlock};
-use stacksim_trace::{CountSink, RecordSink, StreamBuilder};
+use stacksim_trace::{CountSink, Merge, RecordBlock, RecordSink, StreamBuilder};
 
 use crate::params::WorkloadParams;
 use crate::rms::RmsBenchmark;
@@ -75,73 +73,26 @@ impl TraceShape {
 }
 
 /// A live generate-while-simulate pipeline: per-thread producer threads
-/// plus the consumer-side round-robin interleaver, exposed as an iterator
-/// of fixed-size [`RecordBlock`]s (the final block may be shorter).
+/// plus the consumer-side round-robin [`Merge`], exposed as an iterator of
+/// fixed-size [`RecordBlock`]s (the final block may be shorter).
 ///
 /// Dropping the stream early hangs up the channels, which lets the
 /// producers wind down instead of blocking forever.
 #[derive(Debug)]
 pub struct TraceStream {
-    threads: Vec<ThreadState>,
+    /// `None` once the stream is dropped, which hangs up the channels.
+    merge: Option<Merge<IntoIter<RecordBlock>>>,
     handles: Vec<JoinHandle<()>>,
     shape: TraceShape,
     block_len: usize,
-    /// Producers not yet exhausted.
-    live: usize,
-    /// `map` index mask: a power of two at least the per-thread dependency
-    /// bound, minus one.
-    map_mask: usize,
-    chunk: usize,
-    /// Thread the round-robin is currently drawing from.
-    cur_thread: usize,
-    /// Records taken from `cur_thread` in its current chunk.
-    taken_in_chunk: usize,
-    /// Records merged so far (the next record's merged position).
-    merged: u64,
-}
-
-/// Consumer-side state of one producer thread.
-#[derive(Debug)]
-struct ThreadState {
-    rx: BlockReceiver,
-    /// Received records not yet consumed.
-    buf: VecDeque<PackedRecord>,
-    /// The producer has hung up and `buf` is drained.
-    exhausted: bool,
-    /// Records consumed from this thread (the next record's own position).
-    src: u64,
-    /// Merged position of the most recent own records, indexed by own
-    /// position masked by the stream's `map_mask`.
-    map: Vec<u64>,
-}
-
-impl ThreadState {
-    /// Takes the thread's next record, waiting on the channel if a block
-    /// is still in flight. `None` once the producer is done; the first
-    /// `None` also takes the thread off the `live` count.
-    fn pop(&mut self, live: &mut usize) -> Option<PackedRecord> {
-        if self.exhausted {
-            return None;
-        }
-        while self.buf.is_empty() {
-            match self.rx.recv() {
-                Some(block) => self.buf.extend(block),
-                None => {
-                    self.exhausted = true;
-                    *live -= 1;
-                    return None;
-                }
-            }
-        }
-        self.buf.pop_front()
-    }
 }
 
 impl TraceStream {
     /// Starts generating `bench` with `params.threads` producer threads and
     /// returns the merged stream in blocks of `block_len` records. `shape`
-    /// must be `TraceShape::count(bench, &params)`: it sizes the position
-    /// maps and fixes the stream's length and dependency bound up front.
+    /// must be `TraceShape::count(bench, &params)`: it sizes the merge's
+    /// position rings and fixes the stream's length and dependency bound up
+    /// front.
     ///
     /// # Panics
     ///
@@ -155,38 +106,31 @@ impl TraceStream {
         block_len: usize,
     ) -> TraceStream {
         assert!(params.threads > 0, "need at least one thread");
-        assert!(params.threads <= 256, "at most 256 threads supported");
-        assert!(params.chunk > 0, "interleave chunk must be positive");
         assert!(block_len > 0, "stream block length must be positive");
-        let map_len = shape.thread_dep.max(1).next_power_of_two();
-        let mut threads = Vec::with_capacity(params.threads);
-        let mut handles = Vec::with_capacity(params.threads);
-        for tid in 0..params.threads {
-            let (tx, rx) = block_channel(CHANNEL_BLOCKS);
-            handles.push(std::thread::spawn(move || {
-                bench
-                    .emit_thread(StreamBuilder::new(tx, block_len), &params, tid)
-                    .finish();
-            }));
-            threads.push(ThreadState {
-                rx,
-                buf: VecDeque::new(),
-                exhausted: false,
-                src: 0,
-                map: vec![0; map_len],
-            });
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..params.threads)
+            .map(|_| sync_channel(CHANNEL_BLOCKS))
+            .unzip();
+        let merge = Merge::new(
+            receivers.into_iter().map(Receiver::into_iter),
+            params.chunk,
+            shape.thread_dep,
+        );
+        let handles = senders
+            .into_iter()
+            .enumerate()
+            .map(|(tid, tx)| {
+                std::thread::spawn(move || {
+                    bench
+                        .emit_thread(StreamBuilder::new(tx, block_len), &params, tid)
+                        .finish();
+                })
+            })
+            .collect();
         TraceStream {
-            threads,
+            merge: Some(merge),
             handles,
             shape,
             block_len,
-            live: params.threads,
-            map_mask: map_len - 1,
-            chunk: params.chunk,
-            cur_thread: 0,
-            taken_in_chunk: 0,
-            merged: 0,
         }
     }
 
@@ -216,65 +160,16 @@ impl TraceStream {
         threads * CHANNEL_BLOCKS * block_len
     }
 
-    /// Takes the next record in merged order, replicating the round-robin
-    /// of [`interleave`](stacksim_trace::interleave): `chunk` records per
-    /// thread visit, threads in index order, exhausted threads skipped.
-    fn next_record(&mut self) -> Option<PackedRecord> {
-        loop {
-            if self.live == 0 {
-                self.join_producers();
-                return None;
-            }
-            if self.taken_in_chunk < self.chunk {
-                let ti = self.cur_thread;
-                if let Some(p) = self.threads[ti].pop(&mut self.live) {
-                    self.taken_in_chunk += 1;
-                    return Some(self.remap(ti, p));
-                }
-            }
-            self.cur_thread = (self.cur_thread + 1) % self.threads.len();
-            self.taken_in_chunk = 0;
-        }
-    }
-
-    /// Re-labels one record with its thread's cpu id and rewrites its
-    /// dependency offset from thread-local to merged positions — the
-    /// per-record body of the batch merge loop.
-    fn remap(&mut self, ti: usize, p: PackedRecord) -> PackedRecord {
-        let st = &mut self.threads[ti];
-        let dep_offset = if p.has_dep() {
-            let d = p.dep_offset() as usize;
-            assert!(
-                d <= self.shape.thread_dep,
-                "dependency distance {d} exceeds the pre-pass bound {}",
-                self.shape.thread_dep
-            );
-            let producer = st.map[(st.src as usize - d) & self.map_mask];
-            let dist = self.merged - producer;
-            assert!(
-                dist <= u64::from(u32::MAX),
-                "merged dependency distance {dist} exceeds the packed-record range"
-            );
-            dist as u32
-        } else {
-            0
-        };
-        st.map[st.src as usize & self.map_mask] = self.merged;
-        st.src += 1;
-        self.merged += 1;
-        PackedRecord::new(CpuId::new(ti as u8), p.op(), p.addr, p.ip, dep_offset)
-    }
-
     /// Joins finished producers, propagating any kernel panic, and checks
     /// the merged length against the pre-pass.
-    fn join_producers(&mut self) {
+    fn join_producers(&mut self, merged: u64) {
         for h in self.handles.drain(..) {
             if let Err(payload) = h.join() {
                 std::panic::resume_unwind(payload);
             }
         }
         assert_eq!(
-            self.merged, self.shape.records as u64,
+            merged, self.shape.records as u64,
             "the stream's length disagrees with its pre-pass count"
         );
     }
@@ -284,14 +179,12 @@ impl Iterator for TraceStream {
     type Item = RecordBlock;
 
     fn next(&mut self) -> Option<RecordBlock> {
+        let merge = self.merge.as_mut()?;
         let mut out = Vec::with_capacity(self.block_len);
-        while out.len() < self.block_len {
-            match self.next_record() {
-                Some(p) => out.push(p),
-                None => break,
-            }
-        }
+        merge.fill(&mut out, self.block_len);
         if out.is_empty() {
+            let merged = merge.merged();
+            self.join_producers(merged);
             None
         } else {
             Some(out)
@@ -302,7 +195,7 @@ impl Iterator for TraceStream {
 impl Drop for TraceStream {
     fn drop(&mut self) {
         // hang up the channels first so blocked producers bail out
-        self.threads.clear();
+        self.merge = None;
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -312,7 +205,7 @@ impl Drop for TraceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stacksim_trace::Trace;
+    use stacksim_trace::{PackedRecord, Trace};
 
     #[test]
     fn streamed_blocks_concatenate_to_the_batch_trace() {

@@ -22,7 +22,7 @@
 //! * [`explore`] — Pareto design-space search (`stacksim explore`)
 //! * [`serve`] — the `stacksim serve` HTTP/JSON daemon over the
 //!   embeddable [`Sim`](stacksim_core::harness::Sim) session API
-//! * [`bench`] — wall-clock benchmark harness (the `stacksim bench` suites)
+//! * [`bench`](mod@bench) — wall-clock benchmark harness (the `stacksim bench` suites)
 //!
 //! # Quickstart
 //!

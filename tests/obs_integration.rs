@@ -82,7 +82,21 @@ fn run_with_observability_produces_valid_artifacts() {
     };
     assert_eq!(ends("workloads.generate"), 1);
     assert_eq!(ends("mem.replay"), 4);
-    assert!(events.contains("\"bench\":\"gauss\""));
+    let generate_end = events
+        .lines()
+        .find(|l| l.contains("\"ev\":\"end\"") && l.contains("\"name\":\"workloads.generate\""))
+        .unwrap();
+    for field in [
+        "\"bench\":\"gauss\"",
+        "\"records\":",
+        "\"count_us\":",
+        "\"wall_us\":",
+    ] {
+        assert!(
+            generate_end.contains(field),
+            "{field} missing: {generate_end}"
+        );
+    }
     assert!(events.contains("\"option\":\"3D 32MB\""));
 
     let rendered = obs_report::render_snapshot(&text).unwrap();

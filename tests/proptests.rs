@@ -1,7 +1,6 @@
 //! Randomized property tests over the core data structures and invariants
-//! (DESIGN.md §7): cache legality, DRAM bank-state machine, trace codec
-//! round-trips, engine determinism, power-grid conservation and the
-//! thermal maximum principle.
+//! (DESIGN.md §7): cache legality, DRAM bank-state machine, engine
+//! determinism, power-grid conservation and the thermal maximum principle.
 //!
 //! Each property is exercised over a deterministic family of seeds with
 //! `stacksim_rng` generating the inputs, so failures reproduce exactly.
@@ -12,7 +11,7 @@ use stacksim::mem::{
     HierarchyConfig, Lookup, MemoryHierarchy,
 };
 use stacksim::thermal::{solve_with_stats, Boundary, Layer, LayerStack, SolverConfig};
-use stacksim::trace::{read_trace, write_trace, CpuId, MemOp, TraceBuilder};
+use stacksim::trace::{CpuId, MemOp, TraceBuilder};
 use stacksim_rng::StdRng;
 
 fn small_cache() -> Cache {
@@ -152,33 +151,6 @@ fn bus_utilisation_bounded_and_cycle_accounting_consistent() {
         );
         // A longer interval only dilutes utilisation further.
         assert!(bus.utilisation(last_done * 2 + 1) <= u);
-    }
-}
-
-/// Random (valid) traces round-trip through the binary codec.
-#[test]
-fn trace_codec_roundtrip() {
-    for seed in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(0usize..300);
-        let mut b = TraceBuilder::new();
-        for _ in 0..n {
-            let op = match rng.gen_range(0u8..3) {
-                0 => MemOp::Load,
-                1 => MemOp::Store,
-                _ => MemOp::IFetch,
-            };
-            let addr: u64 = rng.gen_range(0..1 << 40);
-            let ip: u64 = rng.gen_range(0..1 << 30);
-            let dep = if rng.gen_bool(0.5) { b.last_id() } else { None };
-            let cpu = rng.gen_range(0u8..4);
-            b.record_dep(CpuId::new(cpu), op, addr, ip, dep);
-        }
-        let t = b.build();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
     }
 }
 
