@@ -1,7 +1,7 @@
 //! SA006 — panic-path audit: `unwrap()`/`expect()` calls and panicking
 //! macros in non-test code, with module-aware severity. In code that
-//! runs on the `sim-scheduler` thread or the serve worker pool — where a
-//! panic orphans dedup slots or kills a pool worker — they are errors;
+//! runs on the session's executor workers or the serve worker pool —
+//! where a panic orphans dedup slots or kills a pool worker — they are errors;
 //! everywhere else they are warnings (clippy's `unwrap_used` /
 //! `expect_used` lints, denied in CI, keep `unwrap`/`expect` out of
 //! non-test code altogether). Indexing expressions in scheduler-context
@@ -20,7 +20,7 @@ use crate::passes::emit;
 
 pub const CODE: &str = "SA006";
 
-/// Files whose code runs on the scheduler thread or serve worker pool:
+/// Files whose code runs on the executor workers or serve worker pool:
 /// a panic here wedges `wait()` callers or shrinks the pool.
 fn scheduler_context(path: &str) -> bool {
     path.starts_with("crates/serve/src/")

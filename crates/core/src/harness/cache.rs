@@ -769,11 +769,12 @@ mod tests {
             .shards(4)
             .build();
         c.store("fig5:hot", "aa", &sample()).unwrap();
+        let (first_load_done, first_load) = std::sync::mpsc::channel();
         let reader = {
             let c = c.clone();
             std::thread::spawn(move || {
                 let mut hits = 0u32;
-                for _ in 0..200 {
+                for i in 0..200 {
                     match c.load("fig5:hot", "aa") {
                         Ok(Some(a)) => {
                             assert_eq!(a, sample());
@@ -782,10 +783,16 @@ mod tests {
                         Ok(None) => {}
                         Err(e) => panic!("reader saw an error: {e}"),
                     }
+                    if i == 0 {
+                        let _ = first_load_done.send(());
+                    }
                 }
                 hits
             })
         };
+        // churn only after the reader's first load: the hot entry is
+        // still resident for it, so the hit count cannot race eviction
+        let _ = first_load.recv();
         for i in 0..60u32 {
             c.store("fig5:churn", &format!("{i:04x}"), &sample2())
                 .unwrap();

@@ -1,14 +1,15 @@
 //! Dependency-aware parallel execution of registered experiments.
 //!
-//! The runner expands a selection to its transitive dependency closure,
-//! validates the graph (no cycles, no dangling edges), then fans the ready
-//! set out across worker threads. Each experiment first consults the memo
+//! The runner expands a selection to its transitive dependency closure
+//! and hands it to a one-shot [`Sim`] session, whose executor workers run
+//! each experiment once its dependencies finished (the session refuses
+//! cycles and dangling edges). Each experiment first consults the memo
 //! cache; a hit skips the run entirely (telemetry shows zero solver
 //! iterations), a miss runs, records telemetry and stores the artifact.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stacksim_thermal::SolveError;
@@ -20,6 +21,7 @@ use super::experiment::{Ctx, Experiment, Telemetry};
 use super::json::Json;
 use super::registry::Registry;
 use super::resilience::{self, Resilience, SolverDegrade};
+use super::session::{ExperimentRequest, Sim};
 use crate::error::Error;
 
 /// How a [`Runner`] executes.
@@ -157,7 +159,7 @@ pub struct ExperimentReport {
 
 impl ExperimentReport {
     /// A fresh row with nothing recorded yet.
-    fn blank(name: &str, digest: String) -> ExperimentReport {
+    pub(super) fn blank(name: &str, digest: String) -> ExperimentReport {
         ExperimentReport {
             name: name.to_string(),
             digest,
@@ -264,19 +266,6 @@ pub struct Runner {
     options: RunOptions,
 }
 
-struct State {
-    ready: VecDeque<String>,
-    remaining_deps: HashMap<String, usize>,
-    dependents: HashMap<String, Vec<String>>,
-    results: HashMap<String, Arc<Artifact>>,
-    failed: HashSet<String>,
-    reports: Vec<ExperimentReport>,
-    errors: Vec<(String, Error)>,
-    active: usize,
-    done: usize,
-    total: usize,
-}
-
 impl Runner {
     /// Pairs a registry with run options.
     pub fn new(registry: Registry, options: RunOptions) -> Self {
@@ -312,120 +301,54 @@ impl Runner {
     pub fn run(&self, names: &[String]) -> Result<RunOutcome, Error> {
         let start = Instant::now();
         let selection = self.expand(names)?;
-        let total = selection.len();
         let mut run_span = stacksim_obs::span(super::obs::EVENT_RUN);
-        run_span.field("experiments", total as u64);
+        run_span.field("experiments", selection.len() as u64);
+        let jobs = worker_count(self.options.jobs).min(selection.len().max(1));
 
-        // Kahn's algorithm both validates acyclicity and seeds the ready
-        // queue deterministically (registration order among ties).
-        let mut remaining_deps = HashMap::new();
-        let mut dependents: HashMap<String, Vec<String>> = HashMap::new();
-        for name in &selection {
-            let exp = self.registry.get(name).ok_or_else(|| Error::Internal {
-                detail: format!("selection '{name}' vanished from the registry"),
-            })?;
-            let deps = exp.deps();
-            remaining_deps.insert(name.clone(), deps.len());
-            for dep in deps {
-                dependents.entry(dep).or_default().push(name.clone());
-            }
-        }
-        {
-            let mut counts = remaining_deps.clone();
-            let mut queue: VecDeque<&String> = selection
-                .iter()
-                .filter(|n| counts.get(*n) == Some(&0))
-                .collect();
-            let mut seen = 0;
-            while let Some(n) = queue.pop_front() {
-                seen += 1;
-                for d in dependents.get(n.as_str()).into_iter().flatten() {
-                    let Some(c) = counts.get_mut(d) else {
-                        return Err(Error::Internal {
-                            detail: format!("dependent '{d}' missing from the selection"),
-                        });
-                    };
-                    *c -= 1;
-                    if *c == 0 {
-                        queue.push_back(d);
-                    }
-                }
-            }
-            if seen != total {
-                let on_cycle = selection
-                    .iter()
-                    .find(|n| counts.get(*n).is_some_and(|c| *c > 0))
-                    .ok_or_else(|| Error::Internal {
-                        detail: "cycle detected but no node with open deps".to_string(),
-                    })?;
-                return Err(Error::DependencyCycle {
-                    name: on_cycle.clone(),
-                });
-            }
-        }
-
-        let ready: VecDeque<String> = selection
-            .iter()
-            .filter(|n| remaining_deps.get(*n) == Some(&0))
-            .cloned()
-            .collect();
-        let state = Mutex::new(State {
-            ready,
-            remaining_deps,
-            dependents,
-            results: HashMap::new(),
-            failed: HashSet::new(),
-            reports: Vec::new(),
-            errors: Vec::new(),
-            active: 0,
-            done: 0,
-            total,
-        });
-        let cv = Condvar::new();
-
-        let jobs = if self.options.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.options.jobs
-        };
-        let workers = jobs.min(total.max(1));
-
-        // workers inherit the caller's fault plan, so one schedule covers
-        // the whole run however it fans out
+        // tasks carry the caller's fault plan, so one schedule covers the
+        // whole run however it fans out
         let faults = stacksim_faults::current();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    stacksim_faults::scope(faults.as_ref(), || self.worker(&state, &cv));
-                });
-            }
-        });
+        let requests: Vec<ExperimentRequest> = selection
+            .iter()
+            .map(|name| ExperimentRequest::new(name).faults(faults.is_some()))
+            .collect();
+        let sim = Sim::builder()
+            .registry(self.registry.clone())
+            .params(self.options.params)
+            .jobs(jobs)
+            .cache(self.options.cache.clone())
+            .preflight(self.options.preflight)
+            .resilience(self.options.resilience.clone())
+            .armed_faults(faults)
+            .build();
+        let handles = sim.submit_all(&requests)?;
 
-        // A worker can only poison the mutex by panicking between lock and
-        // unlock; the state it guards is still structurally sound, so
-        // recover it rather than cascading the panic.
-        let mut st = state
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // report rows in deterministic (selection) order; unknown names
-        // (impossible unless a worker misbehaved) sort last
-        st.reports.sort_by_key(|r| {
-            selection
-                .iter()
-                .position(|n| *n == r.name)
-                .unwrap_or(usize::MAX)
-        });
+        // report rows in deterministic (selection) order
+        let mut entries = Vec::with_capacity(handles.len());
+        let mut artifacts = HashMap::new();
+        let mut errors = Vec::new();
+        for handle in &handles {
+            let outcome = handle.wait();
+            entries.push(outcome.report.clone());
+            if let Some(artifact) = &outcome.artifact {
+                artifacts.insert(handle.name().to_string(), artifact.clone());
+            }
+            if let Some(error) = handle.take_error() {
+                errors.push((handle.name().to_string(), error));
+            }
+        }
+        drop(sim);
         let wall_s = start.elapsed().as_secs_f64();
         run_span.field("wall_us", (wall_s * 1e6) as u64);
         drop(run_span);
         Ok(RunOutcome {
             report: RunReport {
-                jobs: workers,
+                jobs,
                 wall_s,
-                entries: st.reports,
+                entries,
             },
-            artifacts: st.results,
-            errors: st.errors,
+            artifacts,
+            errors,
         })
     }
 
@@ -467,135 +390,22 @@ impl Runner {
             .collect())
     }
 
-    /// Locks the scheduler state, recovering from poisoning (the guarded
-    /// bookkeeping stays structurally sound even if a worker panicked).
-    fn lock_state<'a>(state: &'a Mutex<State>) -> std::sync::MutexGuard<'a, State> {
-        state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn worker(&self, state: &Mutex<State>, cv: &Condvar) {
-        loop {
-            let name = {
-                let mut st = Self::lock_state(state);
-                loop {
-                    if let Some(n) = st.ready.pop_front() {
-                        st.active += 1;
-                        break Some(n);
-                    }
-                    if st.done == st.total {
-                        break None;
-                    }
-                    st = cv
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            let Some(name) = name else {
-                cv.notify_all();
-                return;
-            };
-
-            let outcome = match self.registry.get(&name) {
-                Some(exp) => {
-                    let deps: HashMap<String, Arc<Artifact>> = {
-                        let st = Self::lock_state(state);
-                        exp.deps()
-                            .into_iter()
-                            .filter_map(|d| st.results.get(&d).map(|a| (d, a.clone())))
-                            .collect()
-                    };
-                    self.execute(exp.as_ref(), deps)
-                }
-                None => {
-                    // Unreachable unless the registry changed under us;
-                    // record the invariant violation instead of panicking
-                    // the worker pool.
-                    let error = Error::Internal {
-                        detail: format!("scheduled experiment '{name}' is not registered"),
-                    };
-                    let mut report = ExperimentReport::blank(&name, String::new());
-                    report.error = Some(error.to_string());
-                    report.error_kind = Some(error.kind().to_string());
-                    (report, Err(error))
-                }
-            };
-
-            let mut st = Self::lock_state(state);
-            st.active -= 1;
-            st.done += 1;
-            match outcome {
-                (report, Ok(artifact)) => {
-                    let artifact = Arc::new(artifact);
-                    st.results.insert(name.clone(), artifact);
-                    st.reports.push(report);
-                    let unblocked: Vec<String> =
-                        st.dependents.get(&name).cloned().unwrap_or_default();
-                    for d in unblocked {
-                        // absent counters (impossible for a selected
-                        // dependent) are simply left alone
-                        if let Some(c) = st.remaining_deps.get_mut(&d) {
-                            *c -= 1;
-                            if *c == 0 && !st.failed.contains(&d) {
-                                st.ready.push_back(d);
-                            }
-                        }
-                    }
-                }
-                (report, Err(error)) => {
-                    st.reports.push(report);
-                    st.errors.push((name.clone(), error));
-                    Self::fail_dependents(&mut st, &name);
-                }
-            }
-            cv.notify_all();
-        }
-    }
-
-    /// Marks every transitive dependent of `root` as skipped.
-    fn fail_dependents(st: &mut State, root: &str) {
-        st.failed.insert(root.to_string());
-        let mut queue: VecDeque<String> =
-            st.dependents.get(root).cloned().unwrap_or_default().into();
-        while let Some(name) = queue.pop_front() {
-            if !st.failed.insert(name.clone()) {
-                continue;
-            }
-            st.done += 1;
-            if stacksim_obs::enabled() {
-                stacksim_obs::counter(super::obs::FAILURES).add(1);
-            }
-            let skip = Error::DependencyFailed {
-                experiment: name.clone(),
-                dependency: root.to_string(),
-            };
-            let mut report = ExperimentReport::blank(&name, String::new());
-            report.error = Some(skip.to_string());
-            report.error_kind = Some(skip.kind().to_string());
-            st.reports.push(report);
-            for d in st.dependents.get(&name).into_iter().flatten() {
-                queue.push_back(d.clone());
-            }
-        }
-    }
-
     /// Runs one experiment under the resilience policy: cache probe, then
     /// the real run on a miss, with retries, quarantine and the solver
     /// degradation ladder wrapped around every attempt.
-    fn execute(
-        &self,
+    pub(super) fn execute(
+        options: &RunOptions,
         exp: &dyn Experiment,
         deps: HashMap<String, Arc<Artifact>>,
     ) -> (ExperimentReport, Result<Artifact, Error>) {
         let name = exp.name().to_string();
-        let digest = exp.params_digest(&self.options.params);
+        let digest = exp.params_digest(&options.params);
         let start = Instant::now();
         let mut span = stacksim_obs::span(super::obs::EVENT_EXPERIMENT);
         span.field("experiment", name.clone());
         let mut report = ExperimentReport::blank(&name, digest);
 
-        let result = self.execute_attempts(exp, &deps, &mut report, start);
+        let result = Self::execute_attempts(options, exp, &deps, &mut report, start);
 
         report.wall_s = start.elapsed().as_secs_f64();
         if let Err(e) = &result {
@@ -628,18 +438,18 @@ impl Runner {
     /// the [`SolverDegrade`] ladder on non-convergence, and enforces the
     /// per-experiment deadline and iteration budgets.
     fn execute_attempts(
-        &self,
+        options: &RunOptions,
         exp: &dyn Experiment,
         deps: &HashMap<String, Arc<Artifact>>,
         report: &mut ExperimentReport,
         start: Instant,
     ) -> Result<Artifact, Error> {
-        let policy = &self.options.resilience;
+        let policy = &options.resilience;
         let mut degrade = SolverDegrade::AsConfigured;
         let mut retries_left = policy.retries;
         let mut backoff = Duration::from_millis(policy.backoff_ms);
         loop {
-            match self.attempt_once(exp, deps, report, degrade) {
+            match Self::attempt_once(options, exp, deps, report, degrade) {
                 Ok(artifact) => {
                     if let Some(limit) = policy.max_cg_iters {
                         let used = report.telemetry.solver.iterations as u64;
@@ -696,7 +506,7 @@ impl Runner {
     /// One attempt: cache probe (with quarantine on corruption), then
     /// preflight and the run itself under `catch_unwind`.
     fn attempt_once(
-        &self,
+        options: &RunOptions,
         exp: &dyn Experiment,
         deps: &HashMap<String, Arc<Artifact>>,
         report: &mut ExperimentReport,
@@ -705,24 +515,24 @@ impl Runner {
         let name = report.name.clone();
         let digest = report.digest.clone();
         report.attempts += 1;
-        match self.options.cache.load(&name, &digest) {
+        match options.cache.load(&name, &digest) {
             Ok(Some(artifact)) => {
                 report.cached = true;
                 return Ok(artifact);
             }
             Ok(None) => {}
-            Err(Error::CacheCorrupt { .. }) if self.options.resilience.quarantine => {
+            Err(Error::CacheCorrupt { .. }) if options.resilience.quarantine => {
                 // move the poisoned entry aside and recompute in place —
                 // the run heals the cache instead of failing on it
-                self.options.cache.quarantine(&name, &digest)?;
+                options.cache.quarantine(&name, &digest)?;
                 report.quarantined = true;
             }
             Err(e) => return Err(e),
         }
-        if self.options.preflight {
-            super::check::preflight(&name, &self.options.params)?;
+        if options.preflight {
+            super::check::preflight(&name, &options.params)?;
         }
-        let ctx = Ctx::new(&name, self.options.params, deps.clone()).with_degrade(degrade);
+        let ctx = Ctx::new(&name, options.params, deps.clone()).with_degrade(degrade);
         let run = catch_unwind(AssertUnwindSafe(|| {
             resilience::dispatch_fault(&name)?;
             let artifact = exp.run(&ctx)?;
@@ -731,7 +541,7 @@ impl Runner {
         match run {
             Ok(Ok((artifact, telemetry))) => {
                 report.telemetry = telemetry;
-                self.options.cache.store(&name, &digest, &artifact)?;
+                options.cache.store(&name, &digest, &artifact)?;
                 Ok(artifact)
             }
             Ok(Err(e)) => Err(e),
@@ -739,6 +549,15 @@ impl Runner {
                 experiment: name.clone(),
             }),
         }
+    }
+}
+
+/// Resolves a `jobs` setting: `0` means one worker per available CPU.
+pub(super) fn worker_count(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        jobs
     }
 }
 

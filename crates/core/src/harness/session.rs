@@ -26,18 +26,23 @@
 //!   receives a handle to the existing slot (observable via
 //!   [`RequestHandle::id`] and the `serve.dedup_hits` counter). The
 //!   underlying experiment runs exactly once.
-//! * **batching** — the scheduler thread drains the queue, groups
-//!   adjacent requests with identical workload parameters and fault
-//!   setting, and hands each group to one [`Runner`] invocation, so
-//!   concurrent requests share dependency scheduling and worker threads.
+//! * **dependencies** — submit walks the request's dependency closure
+//!   and gives every member its own deduplicated slot, carrying the
+//!   request's parameters, fault opt-in and deadline. A dependency
+//!   already in flight under the same key is shared, not re-run.
+//! * **execution** — the session owns `jobs` long-lived worker threads
+//!   pulling from one ready queue under the session mutex. A slot is
+//!   queued once its dependencies finish; a failed slot finishes every
+//!   dependent with `dependency-failed`.
 //! * **Done** — the handle yields a [`RequestOutcome`]: the per-request
 //!   [`ExperimentReport`] (telemetry, cache/attempt accounting) and the
 //!   artifact on success.
 //!
 //! Dropping the `Sim` (or calling [`Sim::shutdown`]) drains: everything
-//! already submitted still runs to completion before the scheduler exits.
+//! already submitted still runs to completion before the workers exit.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -46,9 +51,10 @@ use stacksim_workloads::{Scale, WorkloadParams};
 
 use super::artifact::Artifact;
 use super::cache::MemoCache;
+use super::experiment::Experiment;
 use super::registry::Registry;
 use super::resilience::Resilience;
-use super::runner::{ExperimentReport, RunOptions, RunOutcome, Runner};
+use super::runner::{worker_count, ExperimentReport, RunOptions, Runner};
 use crate::error::Error;
 
 /// A typed request for one experiment, optionally overriding the
@@ -133,12 +139,13 @@ impl ExperimentRequest {
     }
 
     /// A per-request wall-clock budget in milliseconds, fed into the
-    /// batch's [`Resilience::deadline_s`] recovery budget: once it runs
-    /// out no further retries or ladder rungs are tried and the request
-    /// fails with [`Error::DeadlineExceeded`](crate::Error), releasing
-    /// its scheduler slot. Execution policy only — it never splits the
-    /// memo-cache digest, but requests with different deadlines do not
-    /// deduplicate onto each other.
+    /// [`Resilience::deadline_s`] recovery budget of the request and its
+    /// dependencies: once it runs out no further retries or ladder rungs
+    /// are tried and the request fails with
+    /// [`Error::DeadlineExceeded`](crate::Error), releasing its slot.
+    /// Execution policy only — it never splits the memo-cache digest,
+    /// but requests with different deadlines do not deduplicate onto
+    /// each other.
     #[must_use]
     pub fn deadline_ms(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = Some(deadline_ms);
@@ -245,9 +252,9 @@ impl ExperimentRequest {
 /// Where a submitted request currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestStatus {
-    /// Accepted, waiting for the scheduler to batch it.
+    /// Accepted, waiting for its dependencies or a free worker.
     Queued,
-    /// Handed to a [`Runner`]; the experiment (or its batch) is running.
+    /// A worker is running the experiment.
     Running,
     /// Finished — [`RequestHandle::try_outcome`] yields the result.
     Done,
@@ -282,7 +289,8 @@ impl RequestOutcome {
     }
 }
 
-/// One submitted request's slot: shared by every deduplicated handle.
+/// One dedup slot: a submitted request, or a dependency one pulled in.
+/// Shared by every deduplicated handle and every dependent.
 #[derive(Debug)]
 struct Slot {
     id: u64,
@@ -291,6 +299,8 @@ struct Slot {
     params: WorkloadParams,
     faults: bool,
     deadline_ms: Option<u64>,
+    /// The slots whose artifacts this one reads; all finish before it runs.
+    deps: Vec<Arc<Slot>>,
     status: Mutex<SlotState>,
     done: Condvar,
 }
@@ -316,7 +326,10 @@ impl Slot {
 enum SlotState {
     Queued,
     Running,
-    Done(Arc<RequestOutcome>),
+    /// The outcome, plus the typed root-cause error that
+    /// [`Runner::run`] takes once into its `RunOutcome::errors`
+    /// (dependency skips carry none).
+    Done(Arc<RequestOutcome>, Option<Error>),
 }
 
 impl Slot {
@@ -326,9 +339,16 @@ impl Slot {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn finish(&self, outcome: RequestOutcome) {
-        *self.lock() = SlotState::Done(Arc::new(outcome));
+    fn finish(&self, outcome: RequestOutcome, error: Option<Error>) {
+        *self.lock() = SlotState::Done(Arc::new(outcome), error);
         self.done.notify_all();
+    }
+
+    fn artifact(&self) -> Option<Arc<Artifact>> {
+        match &*self.lock() {
+            SlotState::Done(outcome, _) => outcome.artifact.clone(),
+            _ => None,
+        }
     }
 }
 
@@ -342,6 +362,8 @@ pub struct RequestHandle {
 impl RequestHandle {
     /// The session-unique request id. Deduplicated submissions return the
     /// *same* id — two handles with equal ids share one execution.
+    /// Dependency slots draw ids from the same counter, so the ids of
+    /// successive requests need not be consecutive.
     pub fn id(&self) -> u64 {
         self.slot.id
     }
@@ -371,14 +393,23 @@ impl RequestHandle {
         match &*self.slot.lock() {
             SlotState::Queued => RequestStatus::Queued,
             SlotState::Running => RequestStatus::Running,
-            SlotState::Done(_) => RequestStatus::Done,
+            SlotState::Done(..) => RequestStatus::Done,
         }
     }
 
     /// The outcome, if the request already finished.
     pub fn try_outcome(&self) -> Option<Arc<RequestOutcome>> {
         match &*self.slot.lock() {
-            SlotState::Done(outcome) => Some(outcome.clone()),
+            SlotState::Done(outcome, _) => Some(outcome.clone()),
+            _ => None,
+        }
+    }
+
+    /// Takes the typed root-cause error of a finished, failed request
+    /// (`None` on success, for dependency skips, or once taken).
+    pub(super) fn take_error(&self) -> Option<Error> {
+        match &mut *self.slot.lock() {
+            SlotState::Done(_, error) => error.take(),
             _ => None,
         }
     }
@@ -387,7 +418,7 @@ impl RequestHandle {
     pub fn wait(&self) -> Arc<RequestOutcome> {
         let mut st = self.slot.lock();
         loop {
-            if let SlotState::Done(outcome) = &*st {
+            if let SlotState::Done(outcome, _) = &*st {
                 return outcome.clone();
             }
             st = self
@@ -406,7 +437,7 @@ impl RequestHandle {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.slot.lock();
         loop {
-            if let SlotState::Done(outcome) = &*st {
+            if let SlotState::Done(outcome, _) = &*st {
                 return Some(outcome.clone());
             }
             let now = std::time::Instant::now();
@@ -430,22 +461,49 @@ pub struct SimStats {
     pub submitted: u64,
     /// Submissions coalesced onto an identical in-flight request.
     pub dedup_hits: u64,
-    /// Requests currently queued or running.
+    /// Requests currently queued or running (dependency slots that no
+    /// submission asked for are not counted).
     pub inflight: u64,
     /// Requests finished.
     pub completed: u64,
 }
 
-/// Scheduler bookkeeping, behind the session mutex.
+/// One member of a request's dependency closure, resolved before the
+/// session lock is taken.
+struct Step {
+    exp: Arc<dyn Experiment>,
+    digest: String,
+    /// Indices of this step's dependencies, all earlier in the plan.
+    deps: Vec<usize>,
+}
+
+/// A task a worker can run: the slot and the experiment it names.
+type Task = (Arc<Slot>, Arc<dyn Experiment>);
+
+/// An unfinished slot's place in the executor's dependency graph.
+struct Node {
+    slot: Arc<Slot>,
+    exp: Arc<dyn Experiment>,
+    /// Dependencies not finished yet; the slot is queued ready at zero.
+    waiting: usize,
+    /// Ids of the unfinished slots that read this one's artifact.
+    dependents: Vec<u64>,
+    /// Whether a submission asked for this slot, not only a dependent:
+    /// only those count toward admission, `inflight` and the journal.
+    requested: bool,
+}
+
+/// Executor bookkeeping, behind the session mutex.
 struct SchedState {
-    /// Submitted slots the scheduler has not picked up yet, in order.
-    pending: Vec<Arc<Slot>>,
-    /// Queued *or running* slots by [`DedupKey`].
+    /// Unfinished slots by id.
+    nodes: HashMap<u64, Node>,
+    /// Slots whose dependencies all finished, in the order they did.
+    ready: VecDeque<Task>,
+    /// Unfinished slots by [`DedupKey`].
     inflight: HashMap<DedupKey, Arc<Slot>>,
-    /// Raw runner outcomes of every batch, for callers that want the
-    /// batch-level report (the CLI).
-    outcomes: Vec<RunOutcome>,
-    /// Slots currently running in a batch (for `wait_idle`).
+    /// Requested slots not finished yet.
+    requests: usize,
+    /// Slots a worker is running (for `wait_idle`).
     running: usize,
     paused: bool,
     shutdown: bool,
@@ -454,23 +512,21 @@ struct SchedState {
 
 struct Inner {
     registry: Registry,
-    base: WorkloadParams,
-    jobs: usize,
-    cache: MemoCache,
-    preflight: bool,
-    resilience: Resilience,
-    /// The session's one fault schedule: in scope around opted-in
-    /// batches and journal appends, so its counters span the session.
+    /// Base parameters, cache, preflight and resilience; each task runs
+    /// under a copy carrying its slot's parameters and deadline.
+    options: RunOptions,
+    /// The session's one fault schedule: in scope around opted-in tasks
+    /// and journal appends, so its counters span the session.
     faults: Option<Faults>,
     /// Admission bound: submissions that would push the queued+running
-    /// count past this are shed with [`Error::Overloaded`].
+    /// request count past this are shed with [`Error::Overloaded`].
     max_pending: Option<usize>,
     /// The crash-recovery journal, when the session is durable.
     journal: Option<Arc<super::journal::RequestJournal>>,
     state: Mutex<SchedState>,
-    /// Wakes the scheduler on submit / resume / shutdown.
+    /// Wakes workers on submit / completion / resume / shutdown.
     work: Condvar,
-    /// Wakes `wait_idle` when a batch finishes.
+    /// Wakes `wait_idle` when a slot finishes.
     idle: Condvar,
     submitted: AtomicU64,
     dedup_hits: AtomicU64,
@@ -484,14 +540,356 @@ impl Inner {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn inflight_of(st: &SchedState) -> u64 {
-        (st.pending.len() + st.running) as u64
-    }
-
     fn publish_inflight(st: &SchedState) {
         if stacksim_obs::enabled() {
-            stacksim_obs::gauge(super::obs::SERVE_INFLIGHT).set(Self::inflight_of(st) as f64);
+            stacksim_obs::gauge(super::obs::SERVE_INFLIGHT).set(st.requests as f64);
         }
+    }
+
+    /// Resolves a request's parameters and its dependency closure,
+    /// dependencies first and the request itself last.
+    fn plan(&self, request: &ExperimentRequest) -> Result<(WorkloadParams, Vec<Step>), Error> {
+        let params = request.resolve(&self.options.params)?;
+        let mut steps = Vec::new();
+        self.visit(request.name(), &params, &mut HashMap::new(), &mut steps)?;
+        Ok((params, steps))
+    }
+
+    /// Depth-first post-order walk. `index` maps a name to its step, or
+    /// to `None` while its own dependencies are walked — meeting such a
+    /// name again closes a cycle.
+    fn visit(
+        &self,
+        name: &str,
+        params: &WorkloadParams,
+        index: &mut HashMap<String, Option<usize>>,
+        steps: &mut Vec<Step>,
+    ) -> Result<usize, Error> {
+        match index.get(name) {
+            Some(Some(i)) => return Ok(*i),
+            Some(None) => {
+                return Err(Error::DependencyCycle {
+                    name: name.to_string(),
+                })
+            }
+            None => {}
+        }
+        let exp = self
+            .registry
+            .get(name)
+            .ok_or_else(|| Error::UnknownExperiment {
+                name: name.to_string(),
+            })?;
+        index.insert(name.to_string(), None);
+        let mut deps = Vec::new();
+        for dep in exp.deps() {
+            if self.registry.get(&dep).is_none() {
+                return Err(Error::MissingDependency {
+                    experiment: name.to_string(),
+                    dependency: dep,
+                });
+            }
+            deps.push(self.visit(&dep, params, index, steps)?);
+        }
+        let digest = exp.params_digest(params);
+        steps.push(Step { exp, digest, deps });
+        index.insert(name.to_string(), Some(steps.len() - 1));
+        Ok(steps.len() - 1)
+    }
+
+    /// Dedups or admits one planned request under the session lock.
+    /// `Ok((slot, true))` means new work for the journal.
+    fn admit(
+        &self,
+        st: &mut SchedState,
+        request: &ExperimentRequest,
+        params: WorkloadParams,
+        steps: &[Step],
+    ) -> Result<(Arc<Slot>, bool), Error> {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        if stacksim_obs::enabled() {
+            stacksim_obs::counter(super::obs::SERVE_REQUESTS).add(1);
+        }
+        if st.shutdown {
+            return Err(Error::Internal {
+                detail: "sim session is shut down".to_string(),
+            });
+        }
+        let no_work = || Error::Internal {
+            detail: format!("request '{}' planned no work", request.name),
+        };
+        let root = steps.last().ok_or_else(no_work)?;
+        let key = (
+            request.name.clone(),
+            root.digest.clone(),
+            request.faults,
+            request.deadline_ms,
+        );
+        let existing = st.inflight.get(&key).cloned();
+        if let Some(slot) = &existing {
+            if st.nodes.get(&slot.id).is_some_and(|n| n.requested) {
+                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                if stacksim_obs::enabled() {
+                    stacksim_obs::counter(super::obs::SERVE_DEDUP_HITS).add(1);
+                }
+                return Ok((slot.clone(), false));
+            }
+        }
+        // admission control, atomic with enqueue under the session lock:
+        // a shed request allocates nothing and releases nothing
+        if let Some(limit) = self.max_pending {
+            if st.requests >= limit {
+                if stacksim_obs::enabled() {
+                    stacksim_obs::counter(super::obs::SERVE_SHED).add(1);
+                }
+                return Err(Error::Overloaded {
+                    pending: st.requests as u64,
+                    limit: limit as u64,
+                });
+            }
+        }
+        // a slot only a dependent asked for so far becomes a request too
+        let slot = match existing {
+            Some(slot) => slot,
+            None => Self::enqueue(st, request, params, steps).ok_or_else(no_work)?,
+        };
+        if let Some(node) = st.nodes.get_mut(&slot.id) {
+            node.requested = true;
+            st.requests += 1;
+        }
+        Ok((slot, true))
+    }
+
+    /// Creates the slots of `steps` not in flight yet, each wired to its
+    /// dependencies, and returns the request's own (last) slot.
+    fn enqueue(
+        st: &mut SchedState,
+        request: &ExperimentRequest,
+        params: WorkloadParams,
+        steps: &[Step],
+    ) -> Option<Arc<Slot>> {
+        let mut slots: Vec<Arc<Slot>> = Vec::with_capacity(steps.len());
+        for step in steps {
+            let key = (
+                step.exp.name().to_string(),
+                step.digest.clone(),
+                request.faults,
+                request.deadline_ms,
+            );
+            if let Some(slot) = st.inflight.get(&key) {
+                slots.push(slot.clone());
+                continue;
+            }
+            let slot = Arc::new(Slot {
+                id: st.next_id,
+                name: key.0.clone(),
+                digest: step.digest.clone(),
+                params,
+                faults: request.faults,
+                deadline_ms: request.deadline_ms,
+                deps: step
+                    .deps
+                    .iter()
+                    .filter_map(|&i| slots.get(i).cloned())
+                    .collect(),
+                status: Mutex::new(SlotState::Queued),
+                done: Condvar::new(),
+            });
+            st.next_id += 1;
+            let mut waiting = 0;
+            for dep in &slot.deps {
+                if let Some(node) = st.nodes.get_mut(&dep.id) {
+                    node.dependents.push(slot.id);
+                    waiting += 1;
+                }
+            }
+            if waiting == 0 {
+                st.ready.push_back((slot.clone(), step.exp.clone()));
+            }
+            let node = Node {
+                slot: slot.clone(),
+                exp: step.exp.clone(),
+                waiting,
+                dependents: Vec::new(),
+                requested: false,
+            };
+            st.nodes.insert(slot.id, node);
+            st.inflight.insert(key, slot.clone());
+            slots.push(slot);
+        }
+        slots.pop()
+    }
+
+    /// Blocks until a task is ready and the session is not paused;
+    /// `None` once a shutdown has drained every slot.
+    fn next_task(&self) -> Option<Task> {
+        let mut st = self.lock();
+        loop {
+            if !st.paused {
+                if let Some(task) = st.ready.pop_front() {
+                    st.running += 1;
+                    return Some(task);
+                }
+                if st.shutdown && st.nodes.is_empty() {
+                    return None;
+                }
+            }
+            st = self
+                .work
+                .wait(st)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// Runs one slot through [`Runner::execute`]: its dependencies'
+    /// artifacts, its own parameters and deadline, and the session fault
+    /// plan in scope only if it opted in.
+    fn run(
+        &self,
+        slot: &Slot,
+        exp: &dyn Experiment,
+    ) -> (ExperimentReport, Result<Artifact, Error>) {
+        let mut options = RunOptions {
+            params: slot.params,
+            ..self.options.clone()
+        };
+        if let Some(deadline_ms) = slot.deadline_ms {
+            // when the session policy already carries a deadline, the
+            // tighter one wins
+            let request_s = deadline_ms as f64 / 1000.0;
+            options.resilience.deadline_s = Some(match options.resilience.deadline_s {
+                Some(policy_s) => policy_s.min(request_s),
+                None => request_s,
+            });
+        }
+        let deps = slot
+            .deps
+            .iter()
+            .filter_map(|d| d.artifact().map(|a| (d.name.clone(), a)))
+            .collect();
+        let faults = self.faults.as_ref().filter(|_| slot.faults);
+        stacksim_faults::scope(faults, || Runner::execute(&options, exp, deps))
+    }
+
+    /// Publishes a finished slot. The slot (and, on failure, every
+    /// transitive dependent) leaves the graph and the dedup table first,
+    /// so a later identical submission is new work; then each is
+    /// journaled and woken; then a success queues the dependents it was
+    /// the last wait of.
+    fn complete(&self, slot: &Slot, report: ExperimentReport, result: Result<Artifact, Error>) {
+        let mut st = self.lock();
+        let node = self.sweep(&mut st, slot.id);
+        let requested = node.as_ref().is_some_and(|n| n.requested);
+        let dependents = node.map(|n| n.dependents).unwrap_or_default();
+        let mut doomed = Vec::new();
+        if result.is_err() {
+            let mut queue: VecDeque<u64> = dependents.iter().copied().collect();
+            while let Some(id) = queue.pop_front() {
+                // already swept: reached through another dependency
+                if let Some(node) = self.sweep(&mut st, id) {
+                    queue.extend(node.dependents.iter().copied());
+                    doomed.push((node.slot, node.requested));
+                }
+            }
+        }
+        drop(st);
+
+        let ok = result.is_ok();
+        let (artifact, error) = match result {
+            Ok(artifact) => (Some(Arc::new(artifact)), None),
+            Err(error) => (None, Some(error)),
+        };
+        self.publish(slot, requested, RequestOutcome { report, artifact }, error);
+        for (dependent, requested) in doomed {
+            let skip = Error::DependencyFailed {
+                experiment: dependent.name.clone(),
+                dependency: slot.name.clone(),
+            };
+            if stacksim_obs::enabled() {
+                stacksim_obs::counter(super::obs::FAILURES).add(1);
+            }
+            let mut report = ExperimentReport::blank(&dependent.name, String::new());
+            report.error = Some(skip.to_string());
+            report.error_kind = Some(skip.kind().to_string());
+            let outcome = RequestOutcome {
+                report,
+                artifact: None,
+            };
+            self.publish(&dependent, requested, outcome, None);
+        }
+
+        let mut st = self.lock();
+        st.running -= 1;
+        if ok {
+            for id in dependents {
+                if let Some(node) = st.nodes.get_mut(&id) {
+                    node.waiting -= 1;
+                    if node.waiting == 0 {
+                        let task = (node.slot.clone(), node.exp.clone());
+                        st.ready.push_back(task);
+                    }
+                }
+            }
+        }
+        Self::publish_inflight(&st);
+        drop(st);
+        self.work.notify_all();
+        self.idle.notify_all();
+    }
+
+    /// Removes an unfinished slot from the graph and the dedup table,
+    /// closing its request accounting.
+    fn sweep(&self, st: &mut SchedState, id: u64) -> Option<Node> {
+        let node = st.nodes.remove(&id)?;
+        let key = node.slot.dedup_key();
+        if st.inflight.get(&key).is_some_and(|s| s.id == id) {
+            st.inflight.remove(&key);
+        }
+        if node.requested {
+            st.requests -= 1;
+            self.completed.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(node)
+    }
+
+    /// Journals a requested slot's terminal outcome, then wakes its
+    /// waiters — journal first, so a waiter that sees `done` can count
+    /// on the record.
+    fn publish(&self, slot: &Slot, requested: bool, outcome: RequestOutcome, error: Option<Error>) {
+        if requested {
+            if outcome.report.error_kind.as_deref() == Some("deadline") && stacksim_obs::enabled() {
+                stacksim_obs::counter(super::obs::SERVE_DEADLINE_EXCEEDED).add(1);
+            }
+            if let Some(journal) = &self.journal {
+                let _ = stacksim_faults::scope(self.faults.as_ref(), || {
+                    journal.record_done(slot.id, outcome.is_ok())
+                });
+            }
+        }
+        slot.finish(outcome, error);
+    }
+}
+
+/// An executor worker: runs ready tasks until a shutdown has drained the
+/// session.
+fn worker(inner: &Inner) {
+    while let Some((slot, exp)) = inner.next_task() {
+        *slot.lock() = SlotState::Running;
+        // a panic escaping the task (outside the experiment's own
+        // `catch_unwind`) must not kill the worker: the slot and its
+        // dependents would never finish, and every handle on them would
+        // block in `wait()` forever
+        let run = catch_unwind(AssertUnwindSafe(|| inner.run(&slot, exp.as_ref())));
+        let (report, result) = run.unwrap_or_else(|_| {
+            let error = Error::WorkerPanic {
+                experiment: slot.name.clone(),
+            };
+            let mut report = ExperimentReport::blank(&slot.name, slot.digest.clone());
+            report.error = Some(error.to_string());
+            report.error_kind = Some(error.kind().to_string());
+            (report, Err(error))
+        });
+        inner.complete(&slot, report, result);
     }
 }
 
@@ -504,7 +902,7 @@ pub struct SimBuilder {
     cache: MemoCache,
     preflight: bool,
     resilience: Resilience,
-    fault_plan: Option<FaultPlan>,
+    faults: Option<Faults>,
     max_pending: Option<usize>,
     journal: Option<Arc<super::journal::RequestJournal>>,
     start_paused: bool,
@@ -519,7 +917,7 @@ impl Default for SimBuilder {
             cache: MemoCache::disabled(),
             preflight: true,
             resilience: Resilience::default(),
-            fault_plan: None,
+            faults: None,
             max_pending: None,
             journal: None,
             start_paused: false,
@@ -542,7 +940,8 @@ impl SimBuilder {
         self
     }
 
-    /// Worker threads per batch; `0` means one per available CPU.
+    /// Executor worker threads, running for the session's lifetime;
+    /// `0` means one per available CPU.
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
@@ -556,14 +955,14 @@ impl SimBuilder {
         self
     }
 
-    /// Whether batches lint experiment models before cache-missing runs.
+    /// Whether workers lint experiment models before cache-missing runs.
     #[must_use]
     pub fn preflight(mut self, preflight: bool) -> Self {
         self.preflight = preflight;
         self
     }
 
-    /// The failure-handling policy every batch runs under.
+    /// The failure-handling policy every experiment runs under.
     #[must_use]
     pub fn resilience(mut self, resilience: Resilience) -> Self {
         self.resilience = resilience;
@@ -576,7 +975,15 @@ impl SimBuilder {
     /// lifetime. Without one, opted-in requests run clean.
     #[must_use]
     pub fn fault_plan(mut self, plan: impl Into<Option<FaultPlan>>) -> Self {
-        self.fault_plan = plan.into();
+        self.faults = plan.into().map(Faults::new);
+        self
+    }
+
+    /// An already-armed fault schedule, shared with its other holders
+    /// (how [`Runner::run`] hands its caller's plan to its tasks).
+    #[must_use]
+    pub(super) fn armed_faults(mut self, faults: Option<Faults>) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -604,32 +1011,35 @@ impl SimBuilder {
         self
     }
 
-    /// Start with the scheduler paused: submissions queue (and
-    /// deduplicate) but nothing runs until [`Sim::resume`]. This is how a
-    /// caller batches a known set of requests into one runner invocation.
+    /// Start with the workers held back: submissions queue (and
+    /// deduplicate) but nothing runs until [`Sim::resume`].
     #[must_use]
     pub fn start_paused(mut self, paused: bool) -> Self {
         self.start_paused = paused;
         self
     }
 
-    /// Builds the session and starts its scheduler thread.
+    /// Builds the session and starts its executor workers.
     #[must_use]
     pub fn build(self) -> Sim {
+        let jobs = worker_count(self.jobs);
         let inner = Arc::new(Inner {
             registry: self.registry.unwrap_or_else(Registry::standard),
-            base: self.base,
-            jobs: self.jobs,
-            cache: self.cache,
-            preflight: self.preflight,
-            resilience: self.resilience,
-            faults: self.fault_plan.map(Faults::new),
+            options: RunOptions::builder()
+                .params(self.base)
+                .jobs(jobs)
+                .cache(self.cache)
+                .preflight(self.preflight)
+                .resilience(self.resilience)
+                .build(),
+            faults: self.faults,
             max_pending: self.max_pending,
             journal: self.journal,
             state: Mutex::new(SchedState {
-                pending: Vec::new(),
+                nodes: HashMap::new(),
+                ready: VecDeque::new(),
                 inflight: HashMap::new(),
-                outcomes: Vec::new(),
+                requests: 0,
                 running: 0,
                 paused: self.start_paused,
                 shutdown: false,
@@ -641,16 +1051,18 @@ impl SimBuilder {
             dedup_hits: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
-        let scheduler = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("sim-scheduler".into())
-                .spawn(move || scheduler_loop(&inner))
-                .ok()
-        };
+        let workers = (0..jobs)
+            .filter_map(|i| {
+                let inner = inner.clone();
+                std::thread::Builder::new()
+                    .name(format!("sim-worker-{i}"))
+                    .spawn(move || worker(&inner))
+                    .ok()
+            })
+            .collect();
         Sim {
             inner,
-            scheduler: Mutex::new(scheduler),
+            workers: Mutex::new(workers),
         }
     }
 }
@@ -660,13 +1072,13 @@ impl SimBuilder {
 /// request lifecycle.
 pub struct Sim {
     inner: Arc<Inner>,
-    scheduler: Mutex<Option<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("base", &self.inner.base)
+            .field("base", &self.inner.options.params)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -687,7 +1099,7 @@ impl Sim {
 
     /// The base workload parameters requests resolve against.
     pub fn base_params(&self) -> WorkloadParams {
-        self.inner.base
+        self.inner.options.params
     }
 
     /// The session's armed fault plan, for callers that serve its
@@ -706,107 +1118,79 @@ impl Sim {
     /// # Errors
     ///
     /// [`Error::UnknownExperiment`] for names not in the registry;
-    /// [`Error::Overloaded`] when admission control sheds the request
-    /// (the queued+running count sits at the session's `max_pending`
-    /// bound — nothing was enqueued, the caller may retry later);
-    /// [`Error::Internal`] for invalid parameter overrides or a session
-    /// already shut down.
+    /// [`Error::MissingDependency`] / [`Error::DependencyCycle`] for a
+    /// broken dependency graph; [`Error::Overloaded`] when admission
+    /// control sheds the request (the queued+running count sits at the
+    /// session's `max_pending` bound — nothing was enqueued, the caller
+    /// may retry later); [`Error::Internal`] for invalid parameter
+    /// overrides or a session already shut down.
     pub fn submit(&self, request: &ExperimentRequest) -> Result<RequestHandle, Error> {
-        let params = request.resolve(&self.inner.base)?;
-        let exp =
-            self.inner
-                .registry
-                .get(request.name())
-                .ok_or_else(|| Error::UnknownExperiment {
-                    name: request.name().to_string(),
-                })?;
-        let digest = exp.params_digest(&params);
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        if stacksim_obs::enabled() {
-            stacksim_obs::counter(super::obs::SERVE_REQUESTS).add(1);
-        }
+        let mut handles = self.submit_all(std::slice::from_ref(request))?;
+        handles.pop().ok_or_else(|| Error::Internal {
+            detail: format!("request '{}' got no handle", request.name),
+        })
+    }
 
-        let key = (
-            request.name().to_string(),
-            digest.clone(),
-            request.faults,
-            request.deadline_ms,
-        );
+    /// Submits several requests under one hold of the session lock, so
+    /// no worker can finish one before the next is deduplicated against
+    /// it. Every request is planned before any is enqueued; an admission
+    /// refusal stops at that request, with the ones before it submitted.
+    pub(super) fn submit_all(
+        &self,
+        requests: &[ExperimentRequest],
+    ) -> Result<Vec<RequestHandle>, Error> {
+        let plans = requests
+            .iter()
+            .map(|r| self.inner.plan(r))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut st = self.inner.lock();
-        if st.shutdown {
-            return Err(Error::Internal {
-                detail: "sim session is shut down".to_string(),
-            });
-        }
-        if let Some(slot) = st.inflight.get(&key) {
-            if matches!(&*slot.lock(), SlotState::Done(_)) {
-                // the batch finished this slot but the scheduler has not
-                // swept it out of the dedup table yet; a post-completion
-                // resubmission is new work (a cache hit at most), never a
-                // stale dedup hit
-                st.inflight.remove(&key);
-            } else {
-                self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                if stacksim_obs::enabled() {
-                    stacksim_obs::counter(super::obs::SERVE_DEDUP_HITS).add(1);
+        let mut handles = Vec::with_capacity(requests.len());
+        let mut accepted = Vec::new();
+        let mut refused = None;
+        for (request, (params, steps)) in requests.iter().zip(&plans) {
+            match self.inner.admit(&mut st, request, *params, steps) {
+                Ok((slot, fresh)) => {
+                    if fresh {
+                        accepted.push((slot.id, request));
+                    }
+                    handles.push(RequestHandle { slot });
                 }
-                return Ok(RequestHandle { slot: slot.clone() });
+                Err(e) => {
+                    refused = Some(e);
+                    break;
+                }
             }
         }
-        // admission control, atomic with enqueue under the session lock:
-        // a shed request allocates nothing and releases nothing
-        if let Some(limit) = self.inner.max_pending {
-            let inflight = Inner::inflight_of(&st);
-            if inflight >= limit as u64 {
-                if stacksim_obs::enabled() {
-                    stacksim_obs::counter(super::obs::SERVE_SHED).add(1);
-                }
-                return Err(Error::Overloaded {
-                    pending: inflight,
-                    limit: limit as u64,
-                });
-            }
-        }
-        let slot = Arc::new(Slot {
-            id: st.next_id,
-            name: request.name().to_string(),
-            digest,
-            params,
-            faults: request.faults,
-            deadline_ms: request.deadline_ms,
-            status: Mutex::new(SlotState::Queued),
-            done: Condvar::new(),
-        });
-        st.next_id += 1;
-        st.pending.push(slot.clone());
-        st.inflight.insert(key, slot.clone());
         Inner::publish_inflight(&st);
-        let id = slot.id;
         drop(st);
         // durability is best-effort: a failed append (disk gone, or the
         // session.journal fault site) degrades recovery, not the request
         if let Some(journal) = &self.inner.journal {
-            let _ = stacksim_faults::scope(self.faults(), || journal.record_accepted(id, request));
+            for (id, request) in accepted {
+                let _ =
+                    stacksim_faults::scope(self.faults(), || journal.record_accepted(id, request));
+            }
         }
         self.inner.work.notify_all();
-        Ok(RequestHandle { slot })
+        match refused {
+            Some(e) => Err(e),
+            None => Ok(handles),
+        }
     }
 
     /// Unpauses a session built with
-    /// [`start_paused`](SimBuilder::start_paused), releasing everything
-    /// queued so far as (batched) work.
+    /// [`start_paused`](SimBuilder::start_paused), letting the workers
+    /// take everything queued so far.
     pub fn resume(&self) {
-        let mut st = self.inner.lock();
-        st.paused = false;
-        drop(st);
+        self.inner.lock().paused = false;
         self.inner.work.notify_all();
     }
 
     /// Blocks until no request is queued or running. On a paused session
-    /// this returns once the *running* batch (if any) finishes.
+    /// this returns once nothing is running.
     pub fn wait_idle(&self) {
         let mut st = self.inner.lock();
-        while st.running > 0 || (!st.paused && !st.pending.is_empty()) {
+        while st.running > 0 || (!st.paused && !st.nodes.is_empty()) {
             st = self
                 .inner
                 .idle
@@ -815,16 +1199,9 @@ impl Sim {
         }
     }
 
-    /// Takes the accumulated batch-level [`RunOutcome`]s (one per runner
-    /// invocation the scheduler made). The CLI uses this to render the
-    /// classic run report; per-request callers use [`RequestHandle`]s.
-    pub fn drain_outcomes(&self) -> Vec<RunOutcome> {
-        std::mem::take(&mut self.inner.lock().outcomes)
-    }
-
     /// A snapshot of the session's request accounting.
     pub fn stats(&self) -> SimStats {
-        let inflight = Inner::inflight_of(&self.inner.lock());
+        let inflight = self.inner.lock().requests as u64;
         SimStats {
             submitted: self.inner.submitted.load(Ordering::Relaxed),
             dedup_hits: self.inner.dedup_hits.load(Ordering::Relaxed),
@@ -835,7 +1212,7 @@ impl Sim {
 
     /// Shuts the session down gracefully: everything already submitted
     /// still runs (a paused session is resumed for the drain), then the
-    /// scheduler thread exits and is joined. Further submissions fail.
+    /// workers exit and are joined. Further submissions fail.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         {
@@ -844,12 +1221,13 @@ impl Sim {
             st.paused = false;
         }
         self.inner.work.notify_all();
-        let handle = self
-            .scheduler
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
+        let workers = std::mem::take(
+            &mut *self
+                .workers
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        for handle in workers {
             let _ = handle.join();
         }
     }
@@ -858,203 +1236,5 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The scheduler thread: drain pending requests in batches of identical
-/// `(params, faults)` until shutdown — and on shutdown, finish the drain
-/// before exiting.
-fn scheduler_loop(inner: &Inner) {
-    loop {
-        let batch = {
-            let mut st = inner.lock();
-            loop {
-                // a shutdown drains: paused is overridden, pending still runs
-                if !st.pending.is_empty() && (!st.paused || st.shutdown) {
-                    break;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = inner
-                    .work
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            // group the head request with every pending request sharing
-            // its workload parameters and fault setting (submission order
-            // is preserved for the rest)
-            let Some(head) = st.pending.first().cloned() else {
-                continue;
-            };
-            let mut batch = Vec::new();
-            let mut rest = Vec::new();
-            for slot in std::mem::take(&mut st.pending) {
-                if slot.params == head.params
-                    && slot.faults == head.faults
-                    && slot.deadline_ms == head.deadline_ms
-                {
-                    batch.push(slot);
-                } else {
-                    rest.push(slot);
-                }
-            }
-            st.pending = rest;
-            st.running = batch.len();
-            for slot in &batch {
-                *slot.lock() = SlotState::Running;
-            }
-            batch
-        };
-
-        // a panic escaping the batch (a runner bug, a poisoned artifact)
-        // must not kill the scheduler thread: every handle into this batch
-        // would block in `wait()` forever, and every later submission
-        // would queue unserved. Contain it and fail the batch's slots.
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_batch(inner, &batch);
-        }));
-        if run.is_err() {
-            for slot in &batch {
-                if matches!(&*slot.lock(), SlotState::Done(_)) {
-                    continue;
-                }
-                let mut report = missing_report(slot);
-                report.error = Some(format!(
-                    "scheduler batch panicked while running '{}'",
-                    slot.name
-                ));
-                report.error_kind = Some("worker-panic".to_string());
-                finish_slot(
-                    inner,
-                    slot,
-                    RequestOutcome {
-                        report,
-                        artifact: None,
-                    },
-                );
-            }
-        }
-
-        let mut st = inner.lock();
-        st.running = 0;
-        for slot in &batch {
-            st.inflight.remove(&slot.dedup_key());
-        }
-        inner
-            .completed
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        Inner::publish_inflight(&st);
-        drop(st);
-        inner.idle.notify_all();
-    }
-}
-
-/// Runs one batch through a [`Runner`], with the session fault plan in
-/// scope when the batch opted in (and no plan otherwise), and publishes
-/// per-slot outcomes.
-fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
-    let Some(head) = batch.first() else {
-        return;
-    };
-    let names: Vec<String> = batch.iter().map(|s| s.name.clone()).collect();
-    let mut resilience = inner.resilience.clone();
-    if let Some(deadline_ms) = head.deadline_ms {
-        // the per-request budget propagates into the runner's existing
-        // deadline machinery; when the session policy already carries a
-        // deadline, the tighter one wins
-        let request_s = deadline_ms as f64 / 1000.0;
-        resilience.deadline_s = Some(match resilience.deadline_s {
-            Some(policy_s) => policy_s.min(request_s),
-            None => request_s,
-        });
-    }
-    let options = RunOptions::builder()
-        .params(head.params)
-        .jobs(inner.jobs)
-        .cache(inner.cache.clone())
-        .preflight(inner.preflight)
-        .resilience(resilience)
-        .build();
-    let runner = Runner::new(inner.registry.clone(), options);
-
-    let faults = inner.faults.as_ref().filter(|_| head.faults);
-    let result = stacksim_faults::scope(faults, || runner.run(&names));
-
-    match result {
-        Ok(outcome) => {
-            // extract every slot's view first, then record the batch
-            // outcome *before* finishing any slot: the instant `finish`
-            // wakes a waiter, the waiter may call `drain_outcomes` and
-            // must already see this batch there
-            let finished: Vec<RequestOutcome> = batch
-                .iter()
-                .map(|slot| {
-                    let report = outcome
-                        .report
-                        .entries
-                        .iter()
-                        .find(|e| e.name == slot.name)
-                        .cloned()
-                        .unwrap_or_else(|| missing_report(slot));
-                    let artifact = outcome.artifacts.get(&slot.name).cloned();
-                    RequestOutcome { report, artifact }
-                })
-                .collect();
-            inner.lock().outcomes.push(outcome);
-            for (slot, out) in batch.iter().zip(finished) {
-                finish_slot(inner, slot, out);
-            }
-        }
-        Err(e) => {
-            // a structural failure (unknown dep, cycle) fails every slot
-            // of the batch with the same root cause
-            let detail = e.to_string();
-            let kind = e.kind().to_string();
-            for slot in batch {
-                let mut report = missing_report(slot);
-                report.error = Some(detail.clone());
-                report.error_kind = Some(kind.clone());
-                finish_slot(
-                    inner,
-                    slot,
-                    RequestOutcome {
-                        report,
-                        artifact: None,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// Publishes a slot's terminal outcome: journals it, counts expired
-/// deadlines, and wakes every waiter.
-fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
-    if outcome.report.error_kind.as_deref() == Some("deadline") && stacksim_obs::enabled() {
-        stacksim_obs::counter(super::obs::SERVE_DEADLINE_EXCEEDED).add(1);
-    }
-    if let Some(journal) = &inner.journal {
-        let _ = stacksim_faults::scope(inner.faults.as_ref(), || {
-            journal.record_done(slot.id, outcome.is_ok())
-        });
-    }
-    slot.finish(outcome);
-}
-
-/// A report row for a slot the runner produced no entry for (structural
-/// failure, or an invariant slip).
-fn missing_report(slot: &Slot) -> ExperimentReport {
-    ExperimentReport {
-        name: slot.name.clone(),
-        digest: slot.digest.clone(),
-        cached: false,
-        wall_s: 0.0,
-        error: Some(format!("experiment '{}' produced no report", slot.name)),
-        error_kind: Some("internal".to_string()),
-        attempts: 0,
-        quarantined: false,
-        fallback: None,
-        telemetry: Default::default(),
     }
 }

@@ -342,20 +342,7 @@ pub struct ThermalPoint {
 
 /// Builds the thermal stack for one option.
 pub fn thermal_stack(option: StackOption, grid: usize) -> LayerStack {
-    let cpu = option.cpu_floorplan();
-    let (w, h) = (cpu.width(), cpu.height());
-    let ny = (grid * 17 / 20).max(1);
-    let power: PowerGrid = cpu.power_grid(grid, ny);
-    match option.stacked_floorplan() {
-        None => LayerStack::planar(w, h, power),
-        Some(top) => LayerStack::two_die(
-            w,
-            h,
-            power,
-            top.power_grid(grid, ny),
-            option.stacked_die_is_dram(),
-        ),
-    }
+    thermal_stack_scaled(option, grid, 1.0)
 }
 
 /// [`thermal_stack`] with every power grid scaled by `power_factor` —

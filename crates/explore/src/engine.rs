@@ -159,8 +159,7 @@ impl ExploreOutcome {
 
 /// Builds a session over [`registry_for`]`(spec)` and runs one
 /// exploration on it — the entry point the CLI and the serve endpoint
-/// share. The session starts paused so the opening wave lands in one
-/// batched runner invocation.
+/// share.
 ///
 /// # Errors
 ///
@@ -178,7 +177,6 @@ pub fn run_exploration(
         .jobs(jobs)
         .cache(cache)
         .preflight(true)
-        .start_paused(true)
         .build();
     let outcome = explore(&sim, cfg);
     sim.shutdown();
@@ -276,7 +274,6 @@ struct Evaluator<'a> {
     cache_hits: u64,
     dedup_hits: u64,
     cg_iterations: u64,
-    resumed: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -297,7 +294,6 @@ impl<'a> Evaluator<'a> {
             cache_hits: 0,
             dedup_hits: 0,
             cg_iterations: 0,
-            resumed: false,
         }
     }
 
@@ -333,12 +329,6 @@ impl<'a> Evaluator<'a> {
             handles.push((handle, Want::Thermal(oi, di, vi)));
         }
         self.requests += handles.len() as u64;
-        if !self.resumed {
-            // the opening batch was queued against a paused session; one
-            // resume releases it as a single runner invocation
-            self.sim.resume();
-            self.resumed = true;
-        }
 
         for (handle, want) in handles {
             let outcome = handle.wait();

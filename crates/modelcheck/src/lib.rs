@@ -9,9 +9,10 @@
 //! * [`barrier::SpinBarrierModel`] — `thermal::pool::SpinBarrier`'s
 //!   sense-reversing generation protocol, including proof that the
 //!   reset-before-release ordering is load-bearing.
-//! * [`dedup::DedupModel`] — the serve session's dedup-slot state
+//! * [`dedup::DedupModel`] — the session executor's dedup-slot state
 //!   machine, including proof that the check-then-insert in `submit()`
-//!   must stay under one lock.
+//!   must stay under one lock and that a worker must sweep a slot from
+//!   the in-flight table before it publishes the outcome.
 //!
 //! Fast configurations run as ordinary unit tests; `cargo xtask loom`
 //! runs the full sweep below (larger thread/round counts) and is wired
@@ -65,27 +66,33 @@ pub fn run_all() -> Result<String, String> {
 
     let model = DedupModel {
         atomic_submit: true,
+        sweep_first: true,
     };
     let stats = explore(&model)?;
     lines.push(summary(model_name(&model), stats));
 
-    let split = DedupModel {
-        atomic_submit: false,
-    };
-    match explore(&split) {
-        Err(e) if e.contains("execution") => lines.push(format!(
-            "{} [split submit]: counterexample found as expected",
-            model_name(&split)
-        )),
-        Err(e) => {
-            return Err(format!(
-                "split-submit model failed for the wrong reason: {e}"
-            ))
-        }
-        Ok(_) => {
-            return Err(
-                "split-submit dedup variant explored clean; the explorer is unsound".to_string(),
-            )
+    // Negative controls: the explorer must still find the split
+    // check-then-insert (digest in flight twice) and the publish-before-
+    // sweep completion (a dedup hit on a finished slot).
+    for (variant, atomic_submit, sweep_first, symptom) in [
+        ("split submit", false, true, "execution"),
+        ("publish before sweep", true, false, "finished slot"),
+    ] {
+        let buggy = DedupModel {
+            atomic_submit,
+            sweep_first,
+        };
+        match explore(&buggy) {
+            Err(e) if e.contains(symptom) => lines.push(format!(
+                "{} [{variant}]: counterexample found as expected",
+                model_name(&buggy)
+            )),
+            Err(e) => return Err(format!("{variant} model failed for the wrong reason: {e}")),
+            Ok(_) => {
+                return Err(format!(
+                    "{variant} dedup variant explored clean; the explorer is unsound"
+                ))
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! embeddable [`Sim`] session API (`stacksim_core::harness`). The server
 //! owns one long-lived `Sim` — one warm memo cache, one registry, one
 //! resilience policy — and translates requests onto it; everything
-//! interesting (dedup, batching, memoization, fault opt-in) happens in
+//! interesting (dedup, scheduling, memoization, fault opt-in) happens in
 //! the session, so embedded and served callers behave identically and
 //! artifacts are bit-identical across both paths.
 //!
@@ -93,7 +93,7 @@ pub struct ServeOptions {
     pub pool: usize,
     /// Base workload parameters requests resolve overrides against.
     pub params: WorkloadParams,
-    /// Worker threads per experiment batch; `0` means one per CPU.
+    /// The session's executor worker threads; `0` means one per CPU.
     pub jobs: usize,
     /// The shared memo cache.
     pub cache: MemoCache,
@@ -238,7 +238,7 @@ impl Server {
 
     /// Resubmits journal-recovered requests. Admission control applies
     /// to live traffic, not recovery: a shed resubmission is retried
-    /// until the draining scheduler makes room.
+    /// until the session's workers make room.
     fn replay(&self, unfinished: Vec<ExperimentRequest>) {
         for request in unfinished {
             loop {

@@ -48,10 +48,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use stacksim::core::harness::{
-    check, default_cache_dir, obs_report, render, resilience, ExperimentRequest, FailureReport,
-    MemoCache, Registry, RunOutcome, RunReport, Sim,
+    check, default_cache_dir, obs_report, render, resilience, FailureReport, MemoCache, Registry,
+    RunOptions, Runner,
 };
 use stacksim::core::{fmt_f, TextTable};
+use stacksim::faults::Faults;
 use stacksim::workloads::WorkloadParams;
 
 fn usage() -> ExitCode {
@@ -70,7 +71,7 @@ fn usage() -> ExitCode {
          \n\
          run options:\n\
          \x20 --all              run every registered experiment\n\
-         \x20 --jobs N           worker threads (default: all CPUs)\n\
+         \x20 --jobs N           executor worker threads (default: all CPUs)\n\
          \x20 --serial           one worker thread (same results, bit-identical)\n\
          \x20 --solver-threads N CG solver threads per experiment (default: 1;\n\
          \x20                    results are bit-identical for any value)\n\
@@ -102,7 +103,7 @@ fn usage() -> ExitCode {
          serve options:\n\
          \x20 --addr A           listen address (default: 127.0.0.1:7878; port 0 = any)\n\
          \x20 --pool N           connection worker threads (default: 4)\n\
-         \x20 --jobs N           worker threads per experiment batch (default: all CPUs)\n\
+         \x20 --jobs N           executor worker threads (default: all CPUs)\n\
          \x20 --no-cache         neither read nor write the memo cache\n\
          \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
          \x20 --cache-max-bytes B  bound the cache; oldest-LRU entries evicted\n\
@@ -336,29 +337,17 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let opt_in = fault_plan.is_some();
-    // `run` is a thin in-process client of the same `Sim` session API the
-    // `serve` daemon speaks: submit everything while paused, resume so
-    // the whole selection lands in one batched runner invocation, then
-    // collect the classic batch-level outcome for rendering.
-    let sim = Sim::builder()
-        .params(params)
-        .jobs(run_args.jobs)
-        .cache(cache)
-        .preflight(true)
-        .resilience(resilience)
-        .fault_plan(fault_plan)
-        .start_paused(true)
-        .build();
-    let names: Vec<String> = if run_args.all {
-        sim.registry()
-            .names()
-            .iter()
-            .map(|n| n.to_string())
-            .collect()
-    } else {
-        run_args.names.clone()
-    };
+    let faults = fault_plan.map(Faults::new);
+    let runner = Runner::new(
+        Registry::standard(),
+        RunOptions::builder()
+            .params(params)
+            .jobs(run_args.jobs)
+            .cache(cache)
+            .preflight(true)
+            .resilience(resilience)
+            .build(),
+    );
     let obs = match ObsSession::start(run_args.metrics_out.as_ref(), run_args.events.as_ref()) {
         Ok(o) => o,
         Err(e) => {
@@ -366,28 +355,14 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut handles = Vec::with_capacity(names.len());
-    let mut submit_error = None;
-    for name in &names {
-        match sim.submit(&ExperimentRequest::new(name).faults(opt_in)) {
-            Ok(handle) => handles.push(handle),
-            Err(e) => {
-                submit_error = Some(e);
-                break;
-            }
+    let outcome = stacksim::faults::scope(faults.as_ref(), || {
+        if run_args.all {
+            runner.run_all()
+        } else {
+            runner.run(&run_args.names)
         }
-    }
-    let outcome = if let Some(e) = submit_error {
-        Err(e)
-    } else {
-        sim.resume();
-        for handle in &handles {
-            let _ = handle.wait();
-        }
-        sim.shutdown();
-        Ok(merge_outcomes(sim.drain_outcomes()))
-    };
-    if let (Some(path), Some(faults)) = (&run_args.fault_plan, sim.faults()) {
+    });
+    if let (Some(path), Some(faults)) = (&run_args.fault_plan, &faults) {
         println!(
             "fault plan {}: {} faults injected",
             path.display(),
@@ -495,31 +470,6 @@ fn run(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Folds the session's batch-level outcomes into one — for a `run`
-/// invocation everything lands in a single batch, so this is the exact
-/// outcome the pre-session `Runner` path produced.
-fn merge_outcomes(outcomes: Vec<RunOutcome>) -> RunOutcome {
-    let mut it = outcomes.into_iter();
-    let Some(mut merged) = it.next() else {
-        return RunOutcome {
-            report: RunReport {
-                jobs: 0,
-                wall_s: 0.0,
-                entries: Vec::new(),
-            },
-            artifacts: std::collections::HashMap::new(),
-            errors: Vec::new(),
-        };
-    };
-    for outcome in it {
-        merged.report.wall_s += outcome.report.wall_s;
-        merged.report.entries.extend(outcome.report.entries);
-        merged.artifacts.extend(outcome.artifacts);
-        merged.errors.extend(outcome.errors);
-    }
-    merged
 }
 
 /// `stacksim explore`: search a declarative design space for its Pareto

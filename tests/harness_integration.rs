@@ -145,3 +145,57 @@ fn unknown_experiment_is_an_error_not_a_panic() {
     let msg = err.to_string();
     assert!(msg.contains("fig99"), "error names the experiment: {msg}");
 }
+
+/// An experiment with fixed dependency edges that must never run.
+struct Edges(&'static str, &'static [&'static str]);
+
+impl stacksim::core::harness::Experiment for Edges {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn deps(&self) -> Vec<String> {
+        self.1.iter().map(|d| d.to_string()).collect()
+    }
+
+    fn sensitivity(&self) -> stacksim::core::harness::ParamSensitivity {
+        stacksim::core::harness::ParamSensitivity::none()
+    }
+
+    fn params_digest(&self, _params: &WorkloadParams) -> String {
+        stacksim::core::harness::Digest::new().str(self.0).hex()
+    }
+
+    fn run(&self, _ctx: &stacksim::core::harness::Ctx) -> Result<Artifact, stacksim::core::Error> {
+        panic!("'{}' ran in a graph that should have been refused", self.0)
+    }
+}
+
+/// Broken graphs are refused before anything runs: a cycle and a
+/// dangling edge are typed errors from `Runner::run` and `Sim::submit`
+/// alike, and nothing is left in flight.
+#[test]
+fn cyclic_and_dangling_graphs_are_refused() {
+    use stacksim::core::harness::{ExperimentRequest, Sim};
+    let mut registry = Registry::new();
+    registry.add(std::sync::Arc::new(Edges("a", &["b"])));
+    registry.add(std::sync::Arc::new(Edges("b", &["a"])));
+    registry.add(std::sync::Arc::new(Edges("c", &["gone"])));
+    let runner = Runner::new(registry.clone(), RunOptions::default());
+    fn kind<T>(r: Result<T, stacksim::core::Error>) -> &'static str {
+        r.map(|_| ()).unwrap_err().kind()
+    }
+    assert_eq!(kind(runner.run(&["a".into()])), "dependency-cycle");
+    assert_eq!(kind(runner.run(&["c".into()])), "missing-dependency");
+
+    let sim = Sim::builder().registry(registry).build();
+    assert_eq!(
+        kind(sim.submit(&ExperimentRequest::new("b"))),
+        "dependency-cycle"
+    );
+    assert_eq!(
+        kind(sim.submit(&ExperimentRequest::new("c"))),
+        "missing-dependency"
+    );
+    assert_eq!(sim.stats().inflight, 0);
+}

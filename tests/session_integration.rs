@@ -42,10 +42,6 @@ fn identical_inflight_requests_run_exactly_once() {
         assert!(std::sync::Arc::ptr_eq(o, &outcomes[0]));
     }
     assert_eq!(outcomes[0].report.attempts, 1, "one clean execution");
-    // exactly one batch ran, containing exactly one experiment
-    let batches = sim.drain_outcomes();
-    assert_eq!(batches.len(), 1);
-    assert_eq!(batches[0].report.entries.len(), 1);
     assert_eq!(sim.stats().completed, 1);
 }
 
@@ -84,8 +80,6 @@ fn parameter_overrides_split_the_digest() {
     assert!(!b.report.cached && !v.report.cached);
     assert_eq!(b.report.attempts, 1);
     assert_eq!(v.report.attempts, 1);
-    // two parameter groups → two runner batches
-    assert_eq!(sim.drain_outcomes().len(), 2);
 }
 
 /// A second submission after the first completed is *not* a dedup hit —
@@ -368,6 +362,106 @@ impl stacksim::core::harness::Experiment for Gate {
             baseline_bus_power_w: 0.6,
         }))
     }
+}
+
+/// While one request holds a worker, a request under other parameters
+/// runs on the other worker instead of queueing behind it.
+#[test]
+fn a_held_request_does_not_block_other_params() {
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let mut registry = Registry::standard();
+    registry.add(std::sync::Arc::new(Gate(barrier.clone())));
+    let sim = Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .jobs(2)
+        .build();
+    let held = sim.submit(&ExperimentRequest::new("gate")).unwrap();
+    barrier.wait(); // the gate holds one worker
+
+    let other = sim
+        .submit(&ExperimentRequest::new("fig5:gauss").seed(0xfeed))
+        .unwrap()
+        .wait_timeout(std::time::Duration::from_secs(5));
+    barrier.wait(); // release the gate before any assertion can unwind
+    let other = other.expect("the free worker finished the other request");
+    assert!(other.is_ok(), "{:?}", other.report.error);
+    assert!(held.wait().is_ok());
+}
+
+/// An experiment whose digest follows the seed and which records how
+/// many of its runs overlap.
+struct Counting {
+    running: std::sync::atomic::AtomicUsize,
+    peak: std::sync::atomic::AtomicUsize,
+    runs: std::sync::atomic::AtomicUsize,
+}
+
+impl stacksim::core::harness::Experiment for Counting {
+    fn name(&self) -> &str {
+        "counting"
+    }
+
+    fn sensitivity(&self) -> stacksim::core::harness::ParamSensitivity {
+        stacksim::core::harness::ParamSensitivity {
+            seed: true,
+            ..stacksim::core::harness::ParamSensitivity::none()
+        }
+    }
+
+    fn params_digest(&self, params: &WorkloadParams) -> String {
+        stacksim::core::harness::Digest::new()
+            .str("counting")
+            .u64(params.seed)
+            .hex()
+    }
+
+    fn run(&self, _ctx: &stacksim::core::harness::Ctx) -> Result<Artifact, Error> {
+        use std::sync::atomic::Ordering::SeqCst;
+        let now = self.running.fetch_add(1, SeqCst) + 1;
+        self.peak.fetch_max(now, SeqCst);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        self.running.fetch_sub(1, SeqCst);
+        self.runs.fetch_add(1, SeqCst);
+        Ok(Artifact::Headline(stacksim::core::Headline {
+            mean_cpma_reduction: 2.0,
+            peak_cpma_reduction: 3.0,
+            bandwidth_reduction_factor: 3.0,
+            bus_power_saving_w: 0.5,
+            baseline_bus_power_w: 0.6,
+        }))
+    }
+}
+
+/// `jobs` bounds the executor: eight distinct requests on a two-worker
+/// session never have more than two runs in flight.
+#[test]
+fn jobs_bounds_the_runs_in_flight() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let counting = std::sync::Arc::new(Counting {
+        running: 0.into(),
+        peak: 0.into(),
+        runs: 0.into(),
+    });
+    let mut registry = Registry::new();
+    registry.add(counting.clone());
+    let sim = Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .jobs(2)
+        .build();
+    let handles: Vec<_> = (0..8)
+        .map(|seed| {
+            sim.submit(&ExperimentRequest::new("counting").seed(seed))
+                .unwrap()
+        })
+        .collect();
+    for h in &handles {
+        assert!(h.wait().is_ok());
+    }
+    assert_eq!(counting.runs.load(SeqCst), 8, "eight distinct digests");
+    let peak = counting.peak.load(SeqCst);
+    assert!(peak <= 2, "{peak} runs in flight on two workers");
 }
 
 /// A session's fault plan never reaches another session in the same
