@@ -333,7 +333,7 @@ fn collect(files: &[SourceFile], fi: usize, gi: usize, resolver: &Resolver) -> F
     let impl_ty: Option<&str> = func.qual.split_once("::").map(|(ty, _)| ty);
 
     // names locally known to be mutex- or condvar-typed, and a best-effort
-    // variable type environment (`let runner = Runner::new(..)` → Runner)
+    // variable type environment (`let cache = MemoCache::at(..)` → MemoCache)
     let mut mutex_vars: BTreeSet<String> = BTreeSet::new();
     let mut cv_vars: BTreeSet<String> = file.cv_fields.iter().cloned().collect();
     let mut var_types: BTreeMap<String, String> = BTreeMap::new();

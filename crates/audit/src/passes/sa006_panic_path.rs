@@ -27,7 +27,7 @@ fn scheduler_context(path: &str) -> bool {
         || matches!(
             path,
             "crates/core/src/harness/session.rs"
-                | "crates/core/src/harness/runner.rs"
+                | "crates/core/src/harness/report.rs"
                 | "crates/core/src/harness/cache.rs"
                 | "crates/core/src/harness/resilience.rs"
                 | "crates/core/src/harness/json.rs"

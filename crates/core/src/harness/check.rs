@@ -4,7 +4,7 @@
 //! For each registered experiment this module rebuilds the *description*
 //! the experiment will simulate — floorplans, folds, thermal stacks,
 //! hierarchies, parameter sets — as a [`stacksim_lint::Model`] and runs
-//! the standard [`PassRegistry`] over it. The [`Runner`](super::Runner)
+//! the standard [`PassRegistry`] over it. A [`Sim`](super::Sim) session
 //! calls [`preflight`] on every cache miss so an inconsistent description
 //! fails in milliseconds with diagnostics instead of deep inside a run.
 //!
@@ -350,7 +350,7 @@ pub fn check_experiment(
     Ok(PassRegistry::standard().run(&model))
 }
 
-/// The preflight the [`Runner`](super::Runner) performs before dispatching
+/// The preflight a [`Sim`](super::Sim) session performs before dispatching
 /// an uncached experiment: reject error-severity diagnostics.
 ///
 /// # Errors

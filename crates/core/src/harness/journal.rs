@@ -162,10 +162,7 @@ impl RequestJournal {
     ) -> Result<(), Error> {
         self.append(
             "accepted",
-            vec![
-                ("id", Json::Num(id as f64)),
-                ("request", request.to_journal_json()),
-            ],
+            vec![("id", Json::Num(id as f64)), ("request", request.to_json())],
         )
     }
 
@@ -244,12 +241,10 @@ fn parse_records(text: &str) -> (Vec<ExperimentRequest>, u64) {
         };
         match ev.as_str() {
             "accepted" => {
-                let request = doc
-                    .get("request")
-                    .and_then(ExperimentRequest::from_journal_json);
+                let request = doc.get("request").map(ExperimentRequest::from_json);
                 match request {
-                    Some(request) => accepted.push((id, request)),
-                    None => skipped += 1,
+                    Some(Ok(request)) => accepted.push((id, request)),
+                    _ => skipped += 1,
                 }
             }
             "done" => {
@@ -263,7 +258,7 @@ fn parse_records(text: &str) -> (Vec<ExperimentRequest>, u64) {
         .into_iter()
         .filter(|(id, _)| !done.contains(id))
         .map(|(_, request)| request)
-        .filter(|request| seen.insert(request.to_journal_json().encode()))
+        .filter(|request| seen.insert(request.to_json().encode()))
         .collect();
     (unfinished, skipped)
 }
@@ -311,8 +306,8 @@ mod tests {
         assert_eq!(rec.corrupt_skipped, 0);
         assert_eq!(rec.unfinished.len(), 1, "only the open request replays");
         assert_eq!(
-            rec.unfinished[0].to_journal_json().encode(),
-            req_open.to_journal_json().encode()
+            rec.unfinished[0].to_json().encode(),
+            req_open.to_json().encode()
         );
         // the durable copy exists until the caller discards it
         assert!(replay_path(&path).exists());

@@ -9,8 +9,9 @@
 //!    `fig11`, `table4`, `table5` and the `headline` summary — together
 //!    with their dependency edges (e.g. `headline` needs `fig5`, which
 //!    needs all twelve per-benchmark points).
-//! 2. [`Runner::run`] executes a selection (plus its transitive
-//!    dependencies) as a dependency-aware fan-out across worker threads.
+//! 2. A [`Sim`] session runs a selection with [`Sim::run`] (plus its
+//!    transitive dependencies) on its executor workers, each experiment
+//!    once its dependencies have finished.
 //! 3. Each result is serialized as a deterministic JSON [`Artifact`] and
 //!    memoized on disk keyed by the experiment's
 //!    [`params_digest`](Experiment::params_digest) — re-runs with the same
@@ -22,14 +23,11 @@
 //! # Example
 //!
 //! ```
-//! use stacksim_core::harness::{Registry, RunOptions, Runner};
+//! use stacksim_core::harness::Sim;
 //! use stacksim_workloads::WorkloadParams;
 //!
-//! let runner = Runner::new(
-//!     Registry::standard(),
-//!     RunOptions::builder().params(WorkloadParams::test()).build(),
-//! );
-//! let outcome = runner.run(&["fig5:gauss".into()])?;
+//! let sim = Sim::builder().params(WorkloadParams::test()).build();
+//! let outcome = sim.run(&["fig5:gauss".into()])?;
 //! assert!(outcome.artifacts.contains_key("fig5:gauss"));
 //! # Ok::<(), stacksim_core::Error>(())
 //! ```
@@ -45,8 +43,8 @@ pub mod obs;
 pub mod obs_report;
 mod registry;
 pub mod render;
+mod report;
 pub mod resilience;
-mod runner;
 mod session;
 
 pub use artifact::Artifact;
@@ -60,10 +58,9 @@ pub use digest::Digest;
 pub use experiment::{Ctx, Experiment, MemRun, ParamSensitivity, Telemetry};
 pub use journal::{JournalRecovery, RequestJournal, JOURNAL_SCHEMA};
 pub use registry::Registry;
+pub use report::{ExperimentReport, RunOutcome, RunReport};
 pub use resilience::{FailureEntry, FailureReport, Resilience, SolverDegrade};
-pub use runner::{
-    run_one, ExperimentReport, RunOptions, RunOptionsBuilder, RunOutcome, RunReport, Runner,
-};
 pub use session::{
-    ExperimentRequest, RequestHandle, RequestOutcome, RequestStatus, Sim, SimBuilder, SimStats,
+    run_one, ExperimentRequest, RequestHandle, RequestOutcome, RequestStatus, Sim, SimBuilder,
+    SimStats,
 };

@@ -1,8 +1,8 @@
 //! Resilience policies and the harness side of the fault plane.
 //!
 //! This module holds everything DESIGN.md §11 describes: the harness's
-//! declared fault sites, the [`Resilience`] policy knobs of
-//! [`RunOptions`](super::RunOptions), the solver degradation ladder
+//! declared fault sites, the [`Resilience`] policy knobs of a
+//! [`Sim`](super::Sim) session, the solver degradation ladder
 //! ([`SolverDegrade`]), the `--fault-plan` JSON loader, and the
 //! machine-readable `stacksim-failures/1` report that `--keep-going`
 //! runs emit.
@@ -13,7 +13,7 @@ use stacksim_faults::{Fault, FaultPlan, FaultRule};
 use stacksim_thermal::{Preconditioner, SolverConfig};
 
 use super::json::Json;
-use super::runner::RunOutcome;
+use super::report::RunOutcome;
 use crate::error::Error;
 
 /// Component tag of every fault site the harness owns.
@@ -127,7 +127,7 @@ impl SolverDegrade {
     }
 }
 
-/// Per-experiment resilience policy of a [`Runner`](super::Runner).
+/// Per-experiment resilience policy of a [`Sim`](super::Sim) session.
 #[derive(Debug, Clone)]
 pub struct Resilience {
     /// Retry budget for transient failures (I/O errors, worker panics).
@@ -316,7 +316,7 @@ pub const FAILURES_SCHEMA: &str = "stacksim-failures/1";
 pub struct FailureEntry {
     /// Experiment name.
     pub name: String,
-    /// Its configuration digest (empty for dependency skips).
+    /// Its configuration digest (the cache key).
     pub digest: String,
     /// Stable failure class (see [`Error::kind`]).
     pub kind: String,

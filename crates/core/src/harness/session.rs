@@ -41,20 +41,23 @@
 //! Dropping the `Sim` (or calling [`Sim::shutdown`]) drains: everything
 //! already submitted still runs to completion before the workers exit.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use stacksim_faults::{FaultPlan, Faults};
+use stacksim_thermal::SolveError;
 use stacksim_workloads::{Scale, WorkloadParams};
 
 use super::artifact::Artifact;
 use super::cache::MemoCache;
-use super::experiment::Experiment;
+use super::experiment::{Ctx, Experiment};
+use super::json::Json;
 use super::registry::Registry;
-use super::resilience::Resilience;
-use super::runner::{worker_count, ExperimentReport, RunOptions, Runner};
+use super::report::{ExperimentReport, RunOutcome, RunReport};
+use super::resilience::{self, Resilience, SolverDegrade};
 use crate::error::Error;
 
 /// A typed request for one experiment, optionally overriding the
@@ -152,10 +155,9 @@ impl ExperimentRequest {
         self
     }
 
-    /// The canonical journal encoding of this request (every set field,
-    /// in fixed order) — also the identity key recovery deduplicates by.
-    pub(crate) fn to_journal_json(&self) -> super::json::Json {
-        use super::json::Json;
+    /// The canonical JSON encoding of this request: every set field, in
+    /// fixed order. The journal stores it, and recovery deduplicates by it.
+    pub fn to_json(&self) -> Json {
         let mut fields = vec![("experiment", Json::Str(self.name.clone()))];
         if let Some(scale) = self.scale {
             let label = match scale {
@@ -185,38 +187,48 @@ impl ExperimentRequest {
         Json::obj(fields)
     }
 
-    /// Decodes a journal `request` object back into a request. `None`
-    /// when required fields are missing or mistyped (the recovery path
-    /// treats that as a corrupt record, never an error).
-    pub(crate) fn from_journal_json(doc: &super::json::Json) -> Option<ExperimentRequest> {
-        use super::json::Json;
-        let mut req = ExperimentRequest::new(doc.get("experiment").and_then(Json::as_str)?);
-        if let Some(scale) = doc.get("scale") {
-            req.scale = Some(match scale.as_str()? {
-                "test" => Scale::Test,
-                "paper" => Scale::Paper,
-                _ => return None,
+    /// Decodes a request object, as `stacksim serve` receives it and the
+    /// journal stores it. Unknown fields are ignored; a missing name or a
+    /// mistyped field is an `Err` naming the field.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the first offending field.
+    pub fn from_json(doc: &Json) -> Result<ExperimentRequest, String> {
+        let name = doc
+            .get("experiment")
+            .and_then(Json::as_str)
+            .ok_or("body needs a string 'experiment' field")?;
+        let mut req = ExperimentRequest::new(name);
+        let unsigned = |what: &str| -> Result<Option<u64>, String> {
+            doc.get(what)
+                .map(|v| {
+                    v.as_u64()
+                        .ok_or(format!("'{what}' must be an unsigned integer"))
+                })
+                .transpose()
+        };
+        req.seed = unsigned("seed")?;
+        if let Some(v) = doc.get("scale") {
+            req.scale = Some(match v.as_str() {
+                Some("test") => Scale::Test,
+                Some("paper") => Scale::Paper,
+                _ => return Err("'scale' must be \"test\" or \"paper\"".to_string()),
             });
         }
-        if let Some(v) = doc.get("seed") {
-            req.seed = Some(v.as_u64()?);
-        }
-        if let Some(v) = doc.get("threads") {
-            req.threads = Some(v.as_u64()? as usize);
-        }
-        if let Some(v) = doc.get("chunk") {
-            req.chunk = Some(v.as_u64()? as usize);
-        }
-        if let Some(v) = doc.get("solver_threads") {
-            req.solver_threads = Some(v.as_u64()? as usize);
-        }
+        req.threads = unsigned("threads")?.map(|n| n as usize);
+        req.chunk = unsigned("chunk")?.map(|n| n as usize);
+        req.solver_threads = unsigned("solver_threads")?.map(|n| n as usize);
         if let Some(v) = doc.get("faults") {
-            req.faults = v.as_bool()?;
+            req.faults = v.as_bool().ok_or("'faults' must be a boolean")?;
         }
         if let Some(v) = doc.get("deadline_ms") {
-            req.deadline_ms = Some(v.as_u64()?);
+            req.deadline_ms = Some(
+                v.as_u64()
+                    .ok_or("'deadline_ms' must be a positive integer")?,
+            );
         }
-        Some(req)
+        Ok(req)
     }
 
     /// The request's effective workload parameters over a session base.
@@ -326,9 +338,9 @@ impl Slot {
 enum SlotState {
     Queued,
     Running,
-    /// The outcome, plus the typed root-cause error that
-    /// [`Runner::run`] takes once into its `RunOutcome::errors`
-    /// (dependency skips carry none).
+    /// The outcome, plus the typed root-cause error that [`Sim::run`]
+    /// takes once into its `RunOutcome::errors` (dependency skips carry
+    /// none).
     Done(Arc<RequestOutcome>, Option<Error>),
 }
 
@@ -512,9 +524,17 @@ struct SchedState {
 
 struct Inner {
     registry: Registry,
-    /// Base parameters, cache, preflight and resilience; each task runs
-    /// under a copy carrying its slot's parameters and deadline.
-    options: RunOptions,
+    /// Base parameters requests resolve their overrides against; each
+    /// task runs under its slot's own.
+    params: WorkloadParams,
+    /// Executor worker threads.
+    jobs: usize,
+    cache: MemoCache,
+    /// Whether to lint an experiment's model before a cache-missing run.
+    preflight: bool,
+    /// The policy every task runs under; a slot's deadline can tighten
+    /// its recovery budget.
+    resilience: Resilience,
     /// The session's one fault schedule: in scope around opted-in tasks
     /// and journal appends, so its counters span the session.
     faults: Option<Faults>,
@@ -549,7 +569,7 @@ impl Inner {
     /// Resolves a request's parameters and its dependency closure,
     /// dependencies first and the request itself last.
     fn plan(&self, request: &ExperimentRequest) -> Result<(WorkloadParams, Vec<Step>), Error> {
-        let params = request.resolve(&self.options.params)?;
+        let params = request.resolve(&self.params)?;
         let mut steps = Vec::new();
         self.visit(request.name(), &params, &mut HashMap::new(), &mut steps)?;
         Ok((params, steps))
@@ -741,34 +761,178 @@ impl Inner {
         }
     }
 
-    /// Runs one slot through [`Runner::execute`]: its dependencies'
-    /// artifacts, its own parameters and deadline, and the session fault
-    /// plan in scope only if it opted in.
-    fn run(
+    /// Runs one slot under the resilience policy: cache probe, then the
+    /// real run on a miss, with retries, quarantine and the solver
+    /// degradation ladder wrapped around every attempt. The slot's own
+    /// parameters and deadline apply, and its dependencies' artifacts are
+    /// handed in.
+    fn execute(
         &self,
         slot: &Slot,
         exp: &dyn Experiment,
     ) -> (ExperimentReport, Result<Artifact, Error>) {
-        let mut options = RunOptions {
-            params: slot.params,
-            ..self.options.clone()
-        };
-        if let Some(deadline_ms) = slot.deadline_ms {
-            // when the session policy already carries a deadline, the
-            // tighter one wins
-            let request_s = deadline_ms as f64 / 1000.0;
-            options.resilience.deadline_s = Some(match options.resilience.deadline_s {
-                Some(policy_s) => policy_s.min(request_s),
-                None => request_s,
-            });
-        }
         let deps = slot
             .deps
             .iter()
             .filter_map(|d| d.artifact().map(|a| (d.name.clone(), a)))
             .collect();
-        let faults = self.faults.as_ref().filter(|_| slot.faults);
-        stacksim_faults::scope(faults, || Runner::execute(&options, exp, deps))
+        let start = Instant::now();
+        let mut span = stacksim_obs::span(super::obs::EVENT_EXPERIMENT);
+        span.field("experiment", slot.name.clone());
+        let mut report = ExperimentReport::blank(&slot.name, slot.digest.clone());
+
+        let result = self.execute_attempts(slot, exp, &deps, &mut report, start);
+
+        report.wall_s = start.elapsed().as_secs_f64();
+        if let Err(e) = &result {
+            report.error = Some(e.to_string());
+            report.error_kind = Some(e.kind().to_string());
+        }
+        if stacksim_obs::enabled() {
+            let wall_us = (report.wall_s * 1e6) as u64;
+            stacksim_obs::counter(super::obs::EXPERIMENTS).add(1);
+            stacksim_obs::counter(if report.cached {
+                super::obs::CACHE_HITS
+            } else {
+                super::obs::CACHE_MISSES
+            })
+            .add(1);
+            if result.is_err() {
+                stacksim_obs::counter(super::obs::FAILURES).add(1);
+            }
+            stacksim_obs::histogram(super::obs::EXPERIMENT_WALL_US).record(wall_us);
+            span.field("cached", report.cached);
+            span.field("ok", result.is_ok());
+            span.field("wall_us", wall_us);
+        }
+        drop(span);
+        (report, result)
+    }
+
+    /// The resilience loop around [`Inner::attempt_once`]: retries
+    /// transient failures with deterministic exponential backoff, walks
+    /// the [`SolverDegrade`] ladder on non-convergence, and enforces the
+    /// deadline and iteration budgets.
+    fn execute_attempts(
+        &self,
+        slot: &Slot,
+        exp: &dyn Experiment,
+        deps: &HashMap<String, Arc<Artifact>>,
+        report: &mut ExperimentReport,
+        start: Instant,
+    ) -> Result<Artifact, Error> {
+        let policy = &self.resilience;
+        // when the session policy already carries a deadline, the
+        // tighter one wins
+        let request_s = slot.deadline_ms.map(|ms| ms as f64 / 1000.0);
+        let deadline_s = match (policy.deadline_s, request_s) {
+            (Some(policy_s), Some(request_s)) => Some(policy_s.min(request_s)),
+            (policy_s, request_s) => policy_s.or(request_s),
+        };
+        let mut degrade = SolverDegrade::AsConfigured;
+        let mut retries_left = policy.retries;
+        let mut backoff = Duration::from_millis(policy.backoff_ms);
+        loop {
+            match self.attempt_once(slot, exp, deps, report, degrade) {
+                Ok(artifact) => {
+                    if let Some(limit) = policy.max_cg_iters {
+                        let used = report.telemetry.solver.iterations as u64;
+                        if used > limit as u64 {
+                            return Err(Error::BudgetExceeded {
+                                experiment: slot.name.clone(),
+                                what: "cg-iterations",
+                                limit: limit as u64,
+                                used,
+                            });
+                        }
+                    }
+                    if degrade != SolverDegrade::AsConfigured {
+                        report.fallback = Some(degrade.label().to_string());
+                    }
+                    return Ok(artifact);
+                }
+                Err(e) => {
+                    // the deadline bounds recovery, not first failure: a
+                    // failed attempt past the budget stops retrying
+                    if let Some(limit_s) = deadline_s {
+                        if start.elapsed().as_secs_f64() >= limit_s {
+                            return Err(Error::DeadlineExceeded {
+                                experiment: slot.name.clone(),
+                                limit_s,
+                            });
+                        }
+                    }
+                    match &e {
+                        Error::Solve(SolveError::NoConvergence { .. }) if policy.ladder => {
+                            let Some(next) = degrade.next() else {
+                                return Err(e);
+                            };
+                            degrade = next;
+                            if stacksim_obs::enabled() {
+                                stacksim_obs::counter(super::obs::SOLVER_FALLBACKS).add(1);
+                            }
+                        }
+                        e if e.is_transient() && retries_left > 0 => {
+                            retries_left -= 1;
+                            if stacksim_obs::enabled() {
+                                stacksim_obs::counter(super::obs::RUNNER_RETRIES).add(1);
+                            }
+                            std::thread::sleep(backoff);
+                            backoff = backoff.saturating_mul(2);
+                        }
+                        _ => return Err(e),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One attempt: cache probe (with quarantine on corruption), then
+    /// preflight and the run itself under `catch_unwind`.
+    fn attempt_once(
+        &self,
+        slot: &Slot,
+        exp: &dyn Experiment,
+        deps: &HashMap<String, Arc<Artifact>>,
+        report: &mut ExperimentReport,
+        degrade: SolverDegrade,
+    ) -> Result<Artifact, Error> {
+        let (name, digest) = (&slot.name, &slot.digest);
+        report.attempts += 1;
+        match self.cache.load(name, digest) {
+            Ok(Some(artifact)) => {
+                report.cached = true;
+                return Ok(artifact);
+            }
+            Ok(None) => {}
+            Err(Error::CacheCorrupt { .. }) if self.resilience.quarantine => {
+                // move the poisoned entry aside and recompute in place —
+                // the run heals the cache instead of failing on it
+                self.cache.quarantine(name, digest)?;
+                report.quarantined = true;
+            }
+            Err(e) => return Err(e),
+        }
+        if self.preflight {
+            super::check::preflight(name, &slot.params)?;
+        }
+        let ctx = Ctx::new(name, slot.params, deps.clone()).with_degrade(degrade);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            resilience::dispatch_fault(name)?;
+            let artifact = exp.run(&ctx)?;
+            Ok((artifact, ctx.into_telemetry()))
+        }));
+        match run {
+            Ok(Ok((artifact, telemetry))) => {
+                report.telemetry = telemetry;
+                self.cache.store(name, digest, &artifact)?;
+                Ok(artifact)
+            }
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err(Error::WorkerPanic {
+                experiment: name.clone(),
+            }),
+        }
     }
 
     /// Publishes a finished slot. The slot (and, on failure, every
@@ -808,7 +972,7 @@ impl Inner {
             if stacksim_obs::enabled() {
                 stacksim_obs::counter(super::obs::FAILURES).add(1);
             }
-            let mut report = ExperimentReport::blank(&dependent.name, String::new());
+            let mut report = ExperimentReport::blank(&dependent.name, dependent.digest.clone());
             report.error = Some(skip.to_string());
             report.error_kind = Some(skip.kind().to_string());
             let outcome = RequestOutcome {
@@ -871,15 +1035,19 @@ impl Inner {
 }
 
 /// An executor worker: runs ready tasks until a shutdown has drained the
-/// session.
+/// session. A task runs with the session fault plan in scope only if its
+/// slot opted in.
 fn worker(inner: &Inner) {
     while let Some((slot, exp)) = inner.next_task() {
         *slot.lock() = SlotState::Running;
+        let faults = inner.faults.as_ref().filter(|_| slot.faults);
         // a panic escaping the task (outside the experiment's own
         // `catch_unwind`) must not kill the worker: the slot and its
         // dependents would never finish, and every handle on them would
         // block in `wait()` forever
-        let run = catch_unwind(AssertUnwindSafe(|| inner.run(&slot, exp.as_ref())));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            stacksim_faults::scope(faults, || inner.execute(&slot, exp.as_ref()))
+        }));
         let (report, result) = run.unwrap_or_else(|_| {
             let error = Error::WorkerPanic {
                 experiment: slot.name.clone(),
@@ -979,14 +1147,6 @@ impl SimBuilder {
         self
     }
 
-    /// An already-armed fault schedule, shared with its other holders
-    /// (how [`Runner::run`] hands its caller's plan to its tasks).
-    #[must_use]
-    pub(super) fn armed_faults(mut self, faults: Option<Faults>) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Bound the admission queue: a submission that would push the
     /// queued+running request count past `max_pending` is shed with
     /// [`Error::Overloaded`] (and counted in `serve.shed`) instead of
@@ -1025,13 +1185,11 @@ impl SimBuilder {
         let jobs = worker_count(self.jobs);
         let inner = Arc::new(Inner {
             registry: self.registry.unwrap_or_else(Registry::standard),
-            options: RunOptions::builder()
-                .params(self.base)
-                .jobs(jobs)
-                .cache(self.cache)
-                .preflight(self.preflight)
-                .resilience(self.resilience)
-                .build(),
+            params: self.base,
+            jobs,
+            cache: self.cache,
+            preflight: self.preflight,
+            resilience: self.resilience,
             faults: self.faults,
             max_pending: self.max_pending,
             journal: self.journal,
@@ -1078,7 +1236,7 @@ pub struct Sim {
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("base", &self.inner.options.params)
+            .field("base", &self.inner.params)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -1099,7 +1257,7 @@ impl Sim {
 
     /// The base workload parameters requests resolve against.
     pub fn base_params(&self) -> WorkloadParams {
-        self.inner.options.params
+        self.inner.params
     }
 
     /// The session's armed fault plan, for callers that serve its
@@ -1178,6 +1336,70 @@ impl Sim {
         }
     }
 
+    /// Runs a selection of experiments plus their transitive
+    /// dependencies to completion and returns artifacts and telemetry:
+    /// report rows in registration order, root-cause errors in the same
+    /// order. Members already in flight in the session are shared, not
+    /// re-run. Every request opts into the session's fault plan, if it
+    /// has one.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownExperiment`] for names not in the registry,
+    /// [`Error::MissingDependency`] for dangling dependency edges and
+    /// [`Error::DependencyCycle`] for cyclic graphs, before anything
+    /// runs; the admission errors of [`Sim::submit`]. Failures *inside*
+    /// experiments do not abort the run; they are recorded in
+    /// [`RunOutcome::errors`] and the report.
+    pub fn run(&self, names: &[String]) -> Result<RunOutcome, Error> {
+        let start = Instant::now();
+        let mut wanted = HashSet::new();
+        for name in names {
+            let (_, steps) = self.inner.plan(&ExperimentRequest::new(name.as_str()))?;
+            wanted.extend(steps.iter().map(|step| step.exp.name().to_string()));
+        }
+        let closure: Vec<&str> = self
+            .registry()
+            .names()
+            .into_iter()
+            .filter(|name| wanted.contains(*name))
+            .collect();
+        let mut run_span = stacksim_obs::span(super::obs::EVENT_RUN);
+        run_span.field("experiments", closure.len() as u64);
+        let jobs = self.inner.jobs.min(closure.len().max(1));
+        let requests: Vec<ExperimentRequest> = closure
+            .iter()
+            .map(|name| ExperimentRequest::new(*name).faults(self.faults().is_some()))
+            .collect();
+        let handles = self.submit_all(&requests)?;
+
+        let mut entries = Vec::with_capacity(handles.len());
+        let mut artifacts = HashMap::new();
+        let mut errors = Vec::new();
+        for handle in &handles {
+            let outcome = handle.wait();
+            entries.push(outcome.report.clone());
+            if let Some(artifact) = &outcome.artifact {
+                artifacts.insert(handle.name().to_string(), artifact.clone());
+            }
+            if let Some(error) = handle.take_error() {
+                errors.push((handle.name().to_string(), error));
+            }
+        }
+        let wall_s = start.elapsed().as_secs_f64();
+        run_span.field("wall_us", (wall_s * 1e6) as u64);
+        drop(run_span);
+        Ok(RunOutcome {
+            report: RunReport {
+                jobs,
+                wall_s,
+                entries,
+            },
+            artifacts,
+            errors,
+        })
+    }
+
     /// Unpauses a session built with
     /// [`start_paused`](SimBuilder::start_paused), letting the workers
     /// take everything queued so far.
@@ -1236,5 +1458,38 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Resolves a `jobs` setting: `0` means one worker per available CPU.
+fn worker_count(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        jobs
+    }
+}
+
+/// Runs a single experiment (plus dependencies) with a disabled cache —
+/// the one-call convenience path for embedders and tests.
+///
+/// # Errors
+///
+/// Structural registry problems, or the first root-cause experiment
+/// failure.
+pub fn run_one(name: &str, params: WorkloadParams) -> Result<Artifact, Error> {
+    let mut outcome = Sim::builder()
+        .params(params)
+        .build()
+        .run(&[name.to_string()])?;
+    if let Some(artifact) = outcome.artifacts.remove(name) {
+        return Ok(Arc::try_unwrap(artifact).unwrap_or_else(|a| (*a).clone()));
+    }
+    match outcome.errors.into_iter().next() {
+        Some((_, e)) => Err(e),
+        None => Err(Error::ArtifactUnavailable {
+            experiment: name.to_string(),
+            wanted: name.to_string(),
+        }),
     }
 }

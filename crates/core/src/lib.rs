@@ -19,7 +19,7 @@
 //! `fig6`, `fig8`, `fig11`, `table4`, `table5`, `headline` — which the
 //! `stacksim` CLI runs as a dependency-aware parallel fan-out with disk
 //! memoization and per-experiment telemetry. Prefer
-//! [`harness::run_one`] / [`harness::Runner`] over calling the study
+//! [`harness::run_one`] / [`harness::Sim`] over calling the study
 //! functions directly when you want caching, parallelism or a run report.
 //!
 //! **Migration note:** since the harness redesign every study entry point
@@ -61,8 +61,8 @@ pub mod sensitivity;
 pub mod stacking;
 
 pub mod prelude {
-    //! One-stop imports for driving the harness: the runner, the memo
-    //! cache, the `Sim` session types, and the workload parameters.
+    //! One-stop imports for driving the harness: the `Sim` session types,
+    //! the memo cache, the run reports, and the workload parameters.
     //!
     //! ```
     //! use stacksim_core::prelude::*;
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::harness::{
         default_cache_dir, run_one, Artifact, ExperimentReport, ExperimentRequest, MemoCache,
         MemoCacheBuilder, Registry, RequestHandle, RequestOutcome, RequestStatus, Resilience,
-        RunOptions, RunOptionsBuilder, RunOutcome, RunReport, Runner, Sim, SimBuilder, SimStats,
+        RunOutcome, RunReport, Sim, SimBuilder, SimStats,
     };
     pub use stacksim_workloads::{Scale, WorkloadParams, WorkloadParamsBuilder};
 }

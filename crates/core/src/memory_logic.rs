@@ -475,12 +475,12 @@ mod tests {
         }
     }
 
-    /// One engine consumer panics mid-stream: the panic reaches the
-    /// runner's report as a worker panic, and every thread of the fan-out
-    /// has finished by the time the runner returns.
+    /// One engine consumer panics mid-stream: the panic reaches the run
+    /// report as a worker panic, and every thread of the fan-out has
+    /// finished by the time the run returns.
     #[test]
     fn consumer_panic_mid_stream_surfaces_without_deadlock() {
-        use crate::harness::{Artifact, Ctx, Digest, Experiment, Registry, RunOptions, Runner};
+        use crate::harness::{Artifact, Ctx, Digest, Experiment, Registry, Sim};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         /// Counts consumers that have finished, normally or by unwinding.
@@ -523,11 +523,11 @@ mod tests {
         let finished = Arc::new(AtomicUsize::new(0));
         let mut registry = Registry::new();
         registry.add(Arc::new(PanicsMidStream(Arc::clone(&finished))));
-        let options = RunOptions::builder()
+        let outcome = Sim::builder()
+            .registry(registry)
             .params(WorkloadParams::test())
             .jobs(1)
-            .build();
-        let outcome = Runner::new(registry, options)
+            .build()
             .run(&["fan-out-panic".to_string()])
             .unwrap();
         let kinds: Vec<&str> = outcome.errors.iter().map(|(_, e)| e.kind()).collect();

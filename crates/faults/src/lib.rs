@@ -11,7 +11,8 @@
 //!
 //! A plan is a value, [`Faults`], that [`scope`] puts in force on the
 //! calling thread only, so sessions sharing a process never see each
-//! other's faults; code fanning work out to threads hands on [`current`].
+//! other's faults; code fanning work out to threads hands its `Faults`
+//! value on and scopes it on each thread.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -195,8 +196,7 @@ pub fn scope<R>(faults: Option<&Faults>, f: impl FnOnce() -> R) -> R {
 }
 
 /// The calling thread's plan; threads start with none.
-#[must_use]
-pub fn current() -> Option<Faults> {
+fn current() -> Option<Faults> {
     CURRENT.with(|c| c.borrow().clone())
 }
 

@@ -72,7 +72,7 @@ use stacksim_core::harness::{
 };
 use stacksim_explore::{ExploreConfig, ExploreError, SearchMode, SpaceSpec};
 use stacksim_faults::{Fault, FaultPlan};
-use stacksim_workloads::{Scale, WorkloadParams};
+use stacksim_workloads::WorkloadParams;
 
 use http::{read_request, reject, respond, respond_with, Request};
 
@@ -523,47 +523,13 @@ fn parse_explore(body: &str) -> Result<ExploreConfig, String> {
     Ok(cfg)
 }
 
-/// Decodes a submission body into an [`ExperimentRequest`].
+/// Decodes a submission body into an [`ExperimentRequest`]. A request
+/// deadline must be positive: a zero budget could never run.
 fn parse_submission(body: &str) -> Result<ExperimentRequest, String> {
     let doc = Json::parse(body).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let name = doc
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or("body needs a string 'experiment' field")?;
-    let mut req = ExperimentRequest::new(name);
-    if let Some(v) = doc.get("seed") {
-        req = req.seed(v.as_u64().ok_or("'seed' must be an unsigned integer")?);
-    }
-    if let Some(v) = doc.get("scale") {
-        req = req.scale(match v.as_str() {
-            Some("test") => Scale::Test,
-            Some("paper") => Scale::Paper,
-            _ => return Err("'scale' must be \"test\" or \"paper\"".to_string()),
-        });
-    }
-    let usize_field = |v: &Json, what: &str| -> Result<usize, String> {
-        v.as_u64()
-            .map(|n| n as usize)
-            .ok_or(format!("'{what}' must be an unsigned integer"))
-    };
-    if let Some(v) = doc.get("threads") {
-        req = req.threads(usize_field(v, "threads")?);
-    }
-    if let Some(v) = doc.get("chunk") {
-        req = req.chunk(usize_field(v, "chunk")?);
-    }
-    if let Some(v) = doc.get("solver_threads") {
-        req = req.solver_threads(usize_field(v, "solver_threads")?);
-    }
-    if let Some(v) = doc.get("faults") {
-        req = req.faults(v.as_bool().ok_or("'faults' must be a boolean")?);
-    }
-    if let Some(v) = doc.get("deadline_ms") {
-        req = req.deadline_ms(
-            v.as_u64()
-                .filter(|&ms| ms > 0)
-                .ok_or("'deadline_ms' must be a positive integer")?,
-        );
+    let req = ExperimentRequest::from_json(&doc)?;
+    if doc.get("deadline_ms").and_then(Json::as_u64) == Some(0) {
+        return Err("'deadline_ms' must be a positive integer".to_string());
     }
     Ok(req)
 }

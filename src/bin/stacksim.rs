@@ -49,10 +49,9 @@ use std::process::ExitCode;
 
 use stacksim::core::harness::{
     check, default_cache_dir, obs_report, render, resilience, FailureReport, MemoCache, Registry,
-    RunOptions, Runner,
+    Sim,
 };
 use stacksim::core::{fmt_f, TextTable};
-use stacksim::faults::Faults;
 use stacksim::workloads::WorkloadParams;
 
 fn usage() -> ExitCode {
@@ -337,17 +336,13 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let faults = fault_plan.map(Faults::new);
-    let runner = Runner::new(
-        Registry::standard(),
-        RunOptions::builder()
-            .params(params)
-            .jobs(run_args.jobs)
-            .cache(cache)
-            .preflight(true)
-            .resilience(resilience)
-            .build(),
-    );
+    let sim = Sim::builder()
+        .params(params)
+        .jobs(run_args.jobs)
+        .cache(cache)
+        .resilience(resilience)
+        .fault_plan(fault_plan)
+        .build();
     let obs = match ObsSession::start(run_args.metrics_out.as_ref(), run_args.events.as_ref()) {
         Ok(o) => o,
         Err(e) => {
@@ -355,14 +350,19 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = stacksim::faults::scope(faults.as_ref(), || {
-        if run_args.all {
-            runner.run_all()
-        } else {
-            runner.run(&run_args.names)
-        }
-    });
-    if let (Some(path), Some(faults)) = (&run_args.fault_plan, &faults) {
+    let names = if run_args.all {
+        sim.registry()
+            .names()
+            .into_iter()
+            .map(str::to_string)
+            .collect()
+    } else {
+        run_args.names
+    };
+    let outcome = sim.run(&names);
+    // join the workers, so the metrics snapshot sees their last update
+    sim.shutdown();
+    if let (Some(path), Some(faults)) = (&run_args.fault_plan, sim.faults()) {
         println!(
             "fault plan {}: {} faults injected",
             path.display(),

@@ -1,11 +1,11 @@
-//! Integration: deterministic fault injection and the runner's resilience
-//! layer — the solver degradation ladder, transient retry, cache
-//! quarantine, per-experiment deadlines and the machine-readable failure
-//! report — spanning `stacksim-faults`, `stacksim-core` and
+//! Integration: deterministic fault injection and the harness's
+//! resilience layer — the solver degradation ladder, transient retry,
+//! cache quarantine, per-experiment deadlines and the machine-readable
+//! failure report — spanning `stacksim-faults`, `stacksim-core` and
 //! `stacksim-thermal`.
 //!
-//! A plan is a value put in scope for one run, never process-global
-//! state, so these tests run in parallel.
+//! A plan is a value owned by one session, never process-global state, so
+//! these tests run in parallel.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use stacksim::core::harness::{
     Artifact, Ctx, Digest, Experiment, FailureReport, MemoCache, ParamSensitivity, Registry,
-    Resilience, RunOptions, RunOutcome, Runner,
+    Resilience, RunOutcome, Sim,
 };
 use stacksim::core::{sensitivity, Error, Headline};
 use stacksim::faults::{self, Fault, FaultPlan, FaultRule, Faults};
@@ -26,9 +26,14 @@ use stacksim::workloads::WorkloadParams;
 /// effective configuration, so its artifact must reproduce this digest.
 const GOLDEN_FIG3: &str = "96e4ca5a7dc6bc4f";
 
+/// A seed-0 plan of `rules`.
+fn plan(rules: Vec<FaultRule>) -> FaultPlan {
+    FaultPlan { seed: 0, rules }
+}
+
 /// A seed-0 plan of `rules`, armed.
 fn armed(rules: Vec<FaultRule>) -> Faults {
-    Faults::new(FaultPlan { seed: 0, rules })
+    Faults::new(plan(rules))
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -37,31 +42,41 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs one custom experiment through the harness under a policy.
-fn run_custom(exp: Arc<dyn Experiment>, cache: MemoCache, resilience: Resilience) -> RunOutcome {
-    let name = exp.name().to_string();
-    let mut registry = Registry::new();
-    registry.add(exp);
-    Runner::new(
-        registry,
-        RunOptions::builder()
-            .serial()
-            .cache(cache)
-            .resilience(resilience)
-            .build(),
-    )
-    .run(&[name])
-    .expect("selection is valid")
-}
-
-/// [`run_custom`] with `faults` as the run's plan.
-fn run_faulted(
-    faults: &Faults,
+/// Runs one custom experiment through a one-worker session under a
+/// policy and an optional fault plan.
+fn run_session(
+    plan: Option<FaultPlan>,
     exp: Arc<dyn Experiment>,
     cache: MemoCache,
     resilience: Resilience,
 ) -> RunOutcome {
-    faults::scope(Some(faults), || run_custom(exp, cache, resilience))
+    let name = exp.name().to_string();
+    let mut registry = Registry::new();
+    registry.add(exp);
+    Sim::builder()
+        .registry(registry)
+        .jobs(1)
+        .cache(cache)
+        .resilience(resilience)
+        .fault_plan(plan)
+        .build()
+        .run(&[name])
+        .expect("selection is valid")
+}
+
+/// Runs one custom experiment through the harness under a policy.
+fn run_custom(exp: Arc<dyn Experiment>, cache: MemoCache, resilience: Resilience) -> RunOutcome {
+    run_session(None, exp, cache, resilience)
+}
+
+/// [`run_custom`] with `plan` as the session's plan.
+fn run_faulted(
+    plan: FaultPlan,
+    exp: Arc<dyn Experiment>,
+    cache: MemoCache,
+    resilience: Resilience,
+) -> RunOutcome {
+    run_session(Some(plan), exp, cache, resilience)
 }
 
 /// Fig3 solved with the LineZ preconditioner — the experiment the chaos
@@ -126,13 +141,13 @@ impl Experiment for Tiny {
 fn ladder_recovers_linez_nonconvergence_with_bit_identical_jacobi_artifact() {
     // Every LineZ CG solve reports non-convergence; Jacobi solves are
     // untouched, so the ladder's first rung recovers the experiment.
-    let faults = armed(vec![FaultRule::always(
+    let faults = plan(vec![FaultRule::always(
         "thermal.cg",
         "line-z",
         Fault::NoConvergence,
     )]);
     let outcome = run_faulted(
-        &faults,
+        faults,
         Arc::new(LineZFig3),
         MemoCache::disabled(),
         Resilience::default(),
@@ -156,13 +171,13 @@ fn ladder_recovers_linez_nonconvergence_with_bit_identical_jacobi_artifact() {
 #[test]
 fn ladder_exhaustion_surfaces_the_solve_error() {
     // Jacobi is knocked over too: every rung fails and the ladder runs dry.
-    let faults = armed(vec![FaultRule::always(
+    let faults = plan(vec![FaultRule::always(
         "thermal.cg",
         "",
         Fault::NoConvergence,
     )]);
     let outcome = run_faulted(
-        &faults,
+        faults,
         Arc::new(LineZFig3),
         MemoCache::disabled(),
         Resilience::default(),
@@ -179,7 +194,7 @@ fn ladder_exhaustion_surfaces_the_solve_error() {
 fn transient_dispatch_faults_are_retried_to_success() {
     // One injected panic, then one injected transient I/O error: the
     // default budget of two retries absorbs both.
-    let faults = armed(vec![
+    let faults = plan(vec![
         FaultRule::always("harness.dispatch", "tiny", Fault::Panic).times(1),
         FaultRule {
             after: 1,
@@ -188,7 +203,7 @@ fn transient_dispatch_faults_are_retried_to_success() {
         .times(1),
     ]);
     let outcome = run_faulted(
-        &faults,
+        faults,
         Arc::new(Tiny { name: "tiny" }),
         MemoCache::disabled(),
         Resilience {
@@ -218,14 +233,14 @@ fn corrupt_cache_entries_are_quarantined_and_recomputed() {
 
     // The next load is corrupted in memory; the on-disk entry is moved to
     // quarantine and the experiment recomputes.
-    let faults = armed(vec![FaultRule::always(
+    let faults = plan(vec![FaultRule::always(
         "harness.cache.load",
         "tiny",
         Fault::Corrupt,
     )
     .times(1)]);
     let second = run_faulted(
-        &faults,
+        faults,
         Arc::new(Tiny { name: "tiny" }),
         cache.clone(),
         Resilience::default(),
@@ -263,14 +278,14 @@ fn truncated_cache_entries_are_a_plain_miss() {
 
     // A 0-byte read is the cache's own miss-and-delete path: no
     // quarantine, no error, just a recompute.
-    let faults = armed(vec![FaultRule::always(
+    let faults = plan(vec![FaultRule::always(
         "harness.cache.load",
         "tiny",
         Fault::Truncate,
     )
     .times(1)]);
     let outcome = run_faulted(
-        &faults,
+        faults,
         Arc::new(Tiny { name: "tiny" }),
         cache,
         Resilience::default(),
@@ -328,7 +343,7 @@ fn failure_reports_are_byte_identical_across_runs_of_the_same_plan() {
     };
     let run_once = || {
         let outcome = run_faulted(
-            &Faults::new(plan.clone()),
+            plan.clone(),
             Arc::new(Tiny { name: "doomed" }),
             MemoCache::disabled(),
             Resilience {
@@ -356,13 +371,13 @@ fn failure_reports_are_byte_identical_across_runs_of_the_same_plan() {
 fn deadlines_bound_the_recovery_loop() {
     // An endless transient with a huge retry budget: only the deadline
     // stops the loop, and the failure is classified as such.
-    let faults = armed(vec![FaultRule::always(
+    let faults = plan(vec![FaultRule::always(
         "harness.dispatch",
         "stuck",
         Fault::IoTransient,
     )]);
     let outcome = run_faulted(
-        &faults,
+        faults,
         Arc::new(Tiny { name: "stuck" }),
         MemoCache::disabled(),
         Resilience {
@@ -402,30 +417,29 @@ fn unarmed_runs_see_no_faults() {
 #[test]
 fn runner_workers_run_under_the_callers_plan() {
     // eight experiments over four workers: each one's first dispatch is
-    // injected, so every worker that ran anything saw the plan
+    // injected, so every worker that ran anything saw the session's plan
     const NAMES: [&str; 8] = ["w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"];
     let mut registry = Registry::new();
     for name in NAMES {
         registry.add(Arc::new(Tiny { name }));
     }
-    let runner = Runner::new(
-        registry,
-        RunOptions::builder()
-            .jobs(4)
-            .resilience(Resilience {
-                backoff_ms: 1,
-                ..Resilience::default()
-            })
-            .build(),
-    );
-    let faults = armed(vec![FaultRule::always(
-        "harness.dispatch",
-        "w*",
-        Fault::IoTransient,
-    )
-    .times(1)]);
+    let sim = Sim::builder()
+        .registry(registry)
+        .jobs(4)
+        .resilience(Resilience {
+            backoff_ms: 1,
+            ..Resilience::default()
+        })
+        .fault_plan(plan(vec![FaultRule::always(
+            "harness.dispatch",
+            "w*",
+            Fault::IoTransient,
+        )
+        .times(1)]))
+        .build();
     let names: Vec<String> = NAMES.iter().map(|n| n.to_string()).collect();
-    let outcome = faults::scope(Some(&faults), || runner.run(&names)).expect("selection is valid");
+    let outcome = sim.run(&names).expect("selection is valid");
+    let faults = sim.faults().expect("the session holds its plan");
     assert_eq!(outcome.report.jobs, 4);
     assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
     for entry in &outcome.report.entries {
@@ -436,4 +450,73 @@ fn runner_workers_run_under_the_callers_plan() {
         );
     }
     assert_eq!(faults.injected(), NAMES.len() as u64);
+}
+
+/// An experiment that reads another's artifact.
+struct After {
+    name: &'static str,
+    dep: &'static str,
+}
+
+impl Experiment for After {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn deps(&self) -> Vec<String> {
+        vec![self.dep.to_string()]
+    }
+
+    fn sensitivity(&self) -> ParamSensitivity {
+        ParamSensitivity::none()
+    }
+
+    fn params_digest(&self, _params: &WorkloadParams) -> String {
+        Digest::new().str(self.name).hex()
+    }
+
+    fn run(&self, ctx: &Ctx) -> Result<Artifact, Error> {
+        Tiny { name: self.name }.run(ctx)
+    }
+}
+
+/// A row skipped because its dependency failed still names the
+/// configuration it would have run: its digest is the experiment's
+/// `params_digest`, in the report and in the failure report alike.
+#[test]
+fn dependency_failed_rows_carry_their_digest() {
+    let after = After {
+        name: "after",
+        dep: "doomed",
+    };
+    let digest = after.params_digest(&WorkloadParams::paper());
+    let mut registry = Registry::new();
+    registry.add(Arc::new(Tiny { name: "doomed" }));
+    registry.add(Arc::new(after));
+    let sim = Sim::builder()
+        .registry(registry)
+        .jobs(1)
+        .resilience(Resilience {
+            retries: 0,
+            ..Resilience::default()
+        })
+        .fault_plan(plan(vec![FaultRule::always(
+            "harness.dispatch",
+            "doomed",
+            Fault::Panic,
+        )]))
+        .build();
+    let outcome = sim.run(&["after".to_string()]).expect("selection is valid");
+    let row = &outcome.report.entries[1];
+    assert_eq!(row.name, "after");
+    assert_eq!(row.error_kind.as_deref(), Some("dependency-failed"));
+    assert_eq!(row.digest, digest);
+    let failures = FailureReport::from_outcome(&outcome);
+    let skipped: Vec<&str> = failures
+        .failures
+        .iter()
+        .filter(|f| f.name == "after")
+        .map(|f| f.digest.as_str())
+        .collect();
+    assert_eq!(skipped, [digest.as_str()]);
 }

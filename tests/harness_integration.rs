@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use stacksim::core::harness::{Artifact, MemoCache, Registry, RunOptions, Runner};
+use stacksim::core::harness::{Artifact, MemoCache, Registry, Sim};
 use stacksim::workloads::WorkloadParams;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -15,16 +15,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn runner(params: WorkloadParams, jobs: usize, cache: MemoCache) -> Runner {
-    Runner::new(
-        Registry::standard(),
-        RunOptions::builder()
-            .params(params)
-            .jobs(jobs)
-            .cache(cache)
-            .preflight(true)
-            .build(),
-    )
+fn session(params: WorkloadParams, jobs: usize, cache: MemoCache) -> Sim {
+    Sim::builder()
+        .params(params)
+        .jobs(jobs)
+        .cache(cache)
+        .preflight(true)
+        .build()
 }
 
 #[test]
@@ -32,7 +29,7 @@ fn memoization_same_digest_is_a_cache_hit_with_zero_solver_work() {
     let dir = scratch_dir("memo");
     let params = WorkloadParams::test();
 
-    let first = runner(params, 1, MemoCache::at(&dir))
+    let first = session(params, 1, MemoCache::at(&dir))
         .run(&["fig8".into()])
         .unwrap();
     let e1 = &first.report.entries[0];
@@ -42,7 +39,7 @@ fn memoization_same_digest_is_a_cache_hit_with_zero_solver_work() {
         "fig8 performs CG solves when it runs"
     );
 
-    let second = runner(params, 1, MemoCache::at(&dir))
+    let second = session(params, 1, MemoCache::at(&dir))
         .run(&["fig8".into()])
         .unwrap();
     let e2 = &second.report.entries[0];
@@ -66,7 +63,7 @@ fn memoization_changed_config_is_a_miss_and_reruns() {
     let dir = scratch_dir("digest");
     let params = WorkloadParams::test();
 
-    let first = runner(params, 1, MemoCache::at(&dir))
+    let first = session(params, 1, MemoCache::at(&dir))
         .run(&["fig5:gauss".into()])
         .unwrap();
     assert!(!first.report.entries[0].cached);
@@ -75,7 +72,7 @@ fn memoization_changed_config_is_a_miss_and_reruns() {
     // must change and the cache must not serve the stale artifact
     let mut reseeded = params;
     reseeded.seed ^= 0xdead_beef;
-    let second = runner(reseeded, 1, MemoCache::at(&dir))
+    let second = session(reseeded, 1, MemoCache::at(&dir))
         .run(&["fig5:gauss".into()])
         .unwrap();
     let (e1, e2) = (&first.report.entries[0], &second.report.entries[0]);
@@ -87,7 +84,7 @@ fn memoization_changed_config_is_a_miss_and_reruns() {
     );
 
     // and the original point still hits
-    let third = runner(params, 1, MemoCache::at(&dir))
+    let third = session(params, 1, MemoCache::at(&dir))
         .run(&["fig5:gauss".into()])
         .unwrap();
     assert!(third.report.entries[0].cached);
@@ -98,10 +95,10 @@ fn memoization_changed_config_is_a_miss_and_reruns() {
 #[test]
 fn parallel_and_serial_fig5_artifacts_are_bit_identical() {
     let params = WorkloadParams::test();
-    let serial = runner(params, 1, MemoCache::disabled())
+    let serial = session(params, 1, MemoCache::disabled())
         .run(&["fig5".into()])
         .unwrap();
-    let parallel = runner(params, 4, MemoCache::disabled())
+    let parallel = session(params, 4, MemoCache::disabled())
         .run(&["fig5".into()])
         .unwrap();
     assert!(serial.errors.is_empty() && parallel.errors.is_empty());
@@ -124,7 +121,7 @@ fn parallel_and_serial_fig5_artifacts_are_bit_identical() {
 
 #[test]
 fn dependencies_run_before_dependents_and_artifacts_flow() {
-    let outcome = runner(WorkloadParams::test(), 2, MemoCache::disabled())
+    let outcome = session(WorkloadParams::test(), 2, MemoCache::disabled())
         .run(&["headline".into()])
         .unwrap();
     assert!(outcome.errors.is_empty());
@@ -139,7 +136,7 @@ fn dependencies_run_before_dependents_and_artifacts_flow() {
 
 #[test]
 fn unknown_experiment_is_an_error_not_a_panic() {
-    let err = runner(WorkloadParams::test(), 1, MemoCache::disabled())
+    let err = session(WorkloadParams::test(), 1, MemoCache::disabled())
         .run(&["fig99".into()])
         .unwrap_err();
     let msg = err.to_string();
@@ -172,7 +169,7 @@ impl stacksim::core::harness::Experiment for Edges {
 }
 
 /// Broken graphs are refused before anything runs: a cycle and a
-/// dangling edge are typed errors from `Runner::run` and `Sim::submit`
+/// dangling edge are typed errors from `Sim::run` and `Sim::submit`
 /// alike, and nothing is left in flight.
 #[test]
 fn cyclic_and_dangling_graphs_are_refused() {
@@ -181,14 +178,13 @@ fn cyclic_and_dangling_graphs_are_refused() {
     registry.add(std::sync::Arc::new(Edges("a", &["b"])));
     registry.add(std::sync::Arc::new(Edges("b", &["a"])));
     registry.add(std::sync::Arc::new(Edges("c", &["gone"])));
-    let runner = Runner::new(registry.clone(), RunOptions::default());
+    let sim = Sim::builder().registry(registry).build();
     fn kind<T>(r: Result<T, stacksim::core::Error>) -> &'static str {
         r.map(|_| ()).unwrap_err().kind()
     }
-    assert_eq!(kind(runner.run(&["a".into()])), "dependency-cycle");
-    assert_eq!(kind(runner.run(&["c".into()])), "missing-dependency");
+    assert_eq!(kind(sim.run(&["a".into()])), "dependency-cycle");
+    assert_eq!(kind(sim.run(&["c".into()])), "missing-dependency");
 
-    let sim = Sim::builder().registry(registry).build();
     assert_eq!(
         kind(sim.submit(&ExperimentRequest::new("b"))),
         "dependency-cycle"
@@ -198,4 +194,31 @@ fn cyclic_and_dangling_graphs_are_refused() {
         "missing-dependency"
     );
     assert_eq!(sim.stats().inflight, 0);
+}
+
+/// `Sim::run` reports its closure's rows in registration order, and
+/// `report.jobs` is the session's workers capped by the closure size.
+#[test]
+fn run_reports_the_closure_in_registration_order() {
+    let sim = session(WorkloadParams::test(), 8, MemoCache::disabled());
+    let outcome = sim.run(&["headline".into()]).unwrap();
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    let rows: Vec<&str> = outcome
+        .report
+        .entries
+        .iter()
+        .map(|e| e.name.as_str())
+        .collect();
+    let registered: Vec<&str> = sim
+        .registry()
+        .names()
+        .into_iter()
+        .filter(|n| rows.contains(n))
+        .collect();
+    assert_eq!(rows.len(), 14, "headline, fig5 and its twelve points");
+    assert_eq!(rows, registered);
+    assert_eq!(outcome.report.jobs, 8);
+
+    let fig3 = sim.run(&["fig3".into()]).unwrap();
+    assert_eq!(fig3.report.jobs, 1, "one experiment keeps one worker busy");
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use stacksim::core::harness::json::Json;
-use stacksim::core::harness::{obs_audit, obs_report, MemoCache, Registry, RunOptions, Runner};
+use stacksim::core::harness::{obs_audit, obs_report, MemoCache, Sim, SimBuilder};
 use stacksim::workloads::WorkloadParams;
 
 /// The enable flag, registry and sink are process-global; tests touching
@@ -29,16 +29,14 @@ fn run_with_observability_produces_valid_artifacts() {
     let sink = stacksim::obs::JsonlSink::create(&events_path).unwrap();
     stacksim::obs::set_sink(Some(Arc::new(sink)));
 
-    let runner = Runner::new(
-        Registry::standard(),
-        RunOptions::builder()
-            .params(WorkloadParams::test())
-            .serial()
-            .cache(MemoCache::at(dir.join("cache")))
-            .preflight(true)
-            .build(),
-    );
-    let outcome = runner.run(&["fig5:gauss".to_string()]).unwrap();
+    let outcome = Sim::builder()
+        .params(WorkloadParams::test())
+        .jobs(1)
+        .cache(MemoCache::at(dir.join("cache")))
+        .preflight(true)
+        .build()
+        .run(&["fig5:gauss".to_string()])
+        .unwrap();
     assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
 
     stacksim::obs::set_sink(None);
@@ -120,23 +118,20 @@ fn cache_hit_shows_up_in_metrics() {
     let dir = std::env::temp_dir().join(format!("stacksim-obs-hit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let options = || {
-        RunOptions::builder()
+    let options = || -> SimBuilder {
+        Sim::builder()
             .params(WorkloadParams::test())
-            .serial()
+            .jobs(1)
             .cache(MemoCache::at(dir.join("cache")))
             .preflight(true)
-            .build()
     };
 
     // seed the cache without metrics
-    let runner = Runner::new(Registry::standard(), options());
-    runner.run(&["fig5:svm".to_string()]).unwrap();
+    options().build().run(&["fig5:svm".to_string()]).unwrap();
 
     stacksim::obs::reset();
     stacksim::obs::enable();
-    let runner = Runner::new(Registry::standard(), options());
-    let outcome = runner.run(&["fig5:svm".to_string()]).unwrap();
+    let outcome = options().build().run(&["fig5:svm".to_string()]).unwrap();
     let snapshot = stacksim::obs::registry().snapshot();
     stacksim::obs::disable();
 

@@ -1,6 +1,6 @@
 //! Integration: the `Sim` session facade — request deduplication,
 //! parameterised variants, warm-cache serving and graceful shutdown —
-//! spanning `stacksim-core`'s session, runner and cache layers.
+//! spanning `stacksim-core`'s session, executor and cache layers.
 
 use std::path::PathBuf;
 
@@ -536,4 +536,43 @@ fn one_fault_schedule_spans_the_session() {
         .collect();
     assert_eq!(ok, [false, true], "only the first request is injected");
     assert_eq!(sim.faults().map(|f| f.injected()), Some(1));
+}
+
+/// `Sim::run` shares the session's in-flight work: a request submitted
+/// to a paused session, then selected by `run` from another thread, runs
+/// exactly once after `resume`.
+#[test]
+fn run_shares_a_request_already_in_flight() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let counting = std::sync::Arc::new(Counting {
+        running: 0.into(),
+        peak: 0.into(),
+        runs: 0.into(),
+    });
+    let mut registry = Registry::new();
+    registry.add(counting.clone());
+    let sim = Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .jobs(2)
+        .start_paused(true)
+        .build();
+    let handle = sim.submit(&ExperimentRequest::new("counting")).unwrap();
+    let outcome = std::thread::scope(|s| {
+        let run = s.spawn(|| sim.run(&["counting".to_string()]));
+        // `run` has attached once its submission counts as a dedup hit
+        while sim.stats().dedup_hits == 0 && !run.is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let runs_while_paused = counting.runs.load(SeqCst);
+        sim.resume();
+        (runs_while_paused, run.join().expect("run thread"))
+    });
+    let (runs_while_paused, outcome) = (outcome.0, outcome.1.unwrap());
+    assert_eq!(runs_while_paused, 0, "nothing runs while paused");
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    assert_eq!(outcome.report.entries.len(), 1);
+    assert_eq!(outcome.report.entries[0].attempts, 1);
+    assert!(handle.wait().is_ok());
+    assert_eq!(counting.runs.load(SeqCst), 1, "one execution for both");
 }
