@@ -18,6 +18,8 @@
 //! error-severity findings are additionally ratcheted against the
 //! committed `audit-baseline.txt` (see [`baseline`]).
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;

@@ -73,12 +73,6 @@ const DECLARED: &[(&str, &str, &str)] = &[
         "monotonic counter/gauge/histogram cells; snapshots tolerate \
          torn reads across cells by design (see obs docs)",
     ),
-    (
-        "thermal/src/pool.rs",
-        "arrived",
-        "reset of the arrival count is published by the subsequent \
-         generation.fetch_add(Release) before any waiter can re-arrive",
-    ),
 ];
 
 fn declared(path: &str, field: &str) -> bool {

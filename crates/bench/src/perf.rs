@@ -7,7 +7,7 @@
 //!   ([`stacksim_thermal::reference`], the baseline every speedup is
 //!   measured against), the optimized kernel solving every point cold
 //!   (isolating the kernel gains), and the fast path (warm-started
-//!   chaining, line-Z preconditioner, the requested thread count). The file
+//!   chaining, line-Z preconditioner). The file
 //!   records wall time, CG iteration counts, cell-update throughput and the
 //!   speedup of fast over baseline, plus the worst peak-temperature
 //!   disagreement between baseline and fast as a correctness guard.
@@ -41,8 +41,6 @@ pub struct BenchOptions {
     /// One timed sample per benchmark instead of [`SAMPLES`] — for CI
     /// smoke runs, where only the artefact shape matters, not the numbers.
     pub quick: bool,
-    /// Solver threads for the fast thermal configuration.
-    pub threads: usize,
     /// Directory the `BENCH_*.json` files are written into.
     pub out_dir: PathBuf,
 }
@@ -51,7 +49,6 @@ impl Default for BenchOptions {
     fn default() -> Self {
         BenchOptions {
             quick: false,
-            threads: 4,
             out_dir: PathBuf::from("."),
         }
     }
@@ -99,7 +96,6 @@ struct ThermalLeg {
     sample: Sample,
     stats: SolveStats,
     data: Fig3Data,
-    threads: usize,
     preconditioner: Preconditioner,
     warm_start: bool,
 }
@@ -113,7 +109,6 @@ impl ThermalLeg {
             ("wall_ns", Json::Num((wall_s * 1e9).round())),
             ("solves", Json::Num(self.stats.solves as f64)),
             ("cg_iterations", Json::Num(self.stats.iterations as f64)),
-            ("threads", Json::Num(self.threads as f64)),
             (
                 "preconditioner",
                 Json::Str(self.preconditioner.label().to_string()),
@@ -137,7 +132,6 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
 
     let base_cfg = SolverConfig::default();
     let fast_cfg = SolverConfig::builder()
-        .threads(opts.threads)
         .preconditioner(Preconditioner::LineZ)
         .build();
 
@@ -158,7 +152,6 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
         sample: ref_sample,
         stats: ref_stats,
         data: ref_data,
-        threads: 1,
         preconditioner: Preconditioner::Jacobi,
         warm_start: false,
     };
@@ -167,7 +160,6 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
         sample: cold_sample,
         stats: cold_stats,
         data: cold_data,
-        threads: 1,
         preconditioner: Preconditioner::Jacobi,
         warm_start: false,
     };
@@ -176,7 +168,6 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
         sample: fast_sample,
         stats: fast_stats,
         data: fast_data,
-        threads: opts.threads,
         preconditioner: Preconditioner::LineZ,
         warm_start: true,
     };
@@ -365,7 +356,6 @@ mod tests {
         let dir = std::env::temp_dir().join("stacksim-bench-test");
         let opts = BenchOptions {
             quick: true,
-            threads: 2,
             out_dir: dir.clone(),
         };
         let paths = run(&opts).unwrap();

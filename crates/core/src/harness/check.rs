@@ -371,7 +371,7 @@ pub fn preflight(name: &str, params: &WorkloadParams) -> Result<(), Error> {
 }
 
 /// One perturbed copy of `params` per field, with its name.
-fn perturbations(params: &WorkloadParams) -> [(&'static str, WorkloadParams); 5] {
+fn perturbations(params: &WorkloadParams) -> [(&'static str, WorkloadParams); 4] {
     let mut scaled = *params;
     scaled.scale = match params.scale {
         Scale::Test => Scale::Paper,
@@ -383,14 +383,11 @@ fn perturbations(params: &WorkloadParams) -> [(&'static str, WorkloadParams); 5]
     threaded.threads += 1;
     let mut chunked = *params;
     chunked.chunk += 1;
-    let mut solver_threaded = *params;
-    solver_threaded.solver_threads += 1;
     [
         ("scale", scaled),
         ("seed", seeded),
         ("threads", threaded),
         ("chunk", chunked),
-        ("solver_threads", solver_threaded),
     ]
 }
 
@@ -401,7 +398,6 @@ fn declared(e: &dyn Experiment, field: &str) -> bool {
         "seed" => s.seed,
         "threads" => s.threads,
         "chunk" => s.chunk,
-        "solver_threads" => s.solver_threads,
         _ => unreachable!("unknown sensitivity field {field}"),
     }
 }

@@ -68,24 +68,16 @@ pub struct ParamSensitivity {
     pub threads: bool,
     /// The digest depends on `params.chunk`.
     pub chunk: bool,
-    /// The digest depends on `params.solver_threads`. Always `false` in the
-    /// standard registry: the solver's determinism contract makes this an
-    /// execution-only knob (bit-identical results for any thread count), so
-    /// a digest reacting to it would needlessly split the cache — the audit
-    /// flags that as `SL051`.
-    pub solver_threads: bool,
 }
 
 impl ParamSensitivity {
-    /// Sensitive to every *semantic* workload parameter.
-    /// `solver_threads` stays `false`: it is result-neutral by contract.
+    /// Sensitive to every workload parameter.
     pub fn all() -> Self {
         ParamSensitivity {
             scale: true,
             seed: true,
             threads: true,
             chunk: true,
-            solver_threads: false,
         }
     }
 
@@ -96,7 +88,6 @@ impl ParamSensitivity {
             seed: false,
             threads: false,
             chunk: false,
-            solver_threads: false,
         }
     }
 

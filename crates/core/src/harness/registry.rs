@@ -35,24 +35,16 @@ fn absorb_workload(d: &mut Digest, params: &WorkloadParams) {
         .usize(params.chunk);
 }
 
-/// The solver configuration the thermal experiments run under:
-/// semantically the default, with the execution knobs (worker threads)
-/// taken from the run's parameters, and the runner's degradation ladder
-/// applied on retry attempts after non-convergence.
+/// The solver configuration the thermal experiments run under: the
+/// default, with the runner's degradation ladder applied on retry attempts
+/// after non-convergence.
 fn solver_config(ctx: &Ctx) -> SolverConfig {
-    ctx.solver_config(
-        SolverConfig::builder()
-            .threads(ctx.params.solver_threads)
-            .build(),
-    )
+    ctx.solver_config(SolverConfig::default())
 }
 
 fn absorb_solver(d: &mut Digest) {
     let cfg = SolverConfig::default();
-    // `threads` is deliberately absent: the solver is bit-identical for
-    // any thread count (its determinism contract), so it must not split
-    // the cache. The preconditioner changes the iteration path, so it is
-    // absorbed.
+    // The preconditioner changes the iteration path, so it is absorbed.
     d.usize(cfg.nx)
         .usize(cfg.ny)
         .usize(cfg.max_iters)
@@ -433,19 +425,6 @@ mod tests {
             fig8.params_digest(&WorkloadParams::test()),
             fig8.params_digest(&WorkloadParams::paper())
         );
-    }
-
-    #[test]
-    fn solver_threads_never_split_the_cache() {
-        // the execution knob is result-neutral by the solver's determinism
-        // contract, so the cache key must not react to it
-        let r = Registry::standard();
-        for name in r.names() {
-            let exp = r.get(name).expect("registered");
-            let base = exp.params_digest(&WorkloadParams::paper());
-            let threaded = exp.params_digest(&WorkloadParams::builder().solver_threads(8).build());
-            assert_eq!(base, threaded, "{name} digest reacted to solver_threads");
-        }
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub struct ExperimentRequest {
     seed: Option<u64>,
     threads: Option<usize>,
     chunk: Option<usize>,
-    solver_threads: Option<usize>,
     faults: bool,
     deadline_ms: Option<u64>,
 }
@@ -86,7 +85,6 @@ impl ExperimentRequest {
             seed: None,
             threads: None,
             chunk: None,
-            solver_threads: None,
             faults: false,
             deadline_ms: None,
         }
@@ -122,14 +120,6 @@ impl ExperimentRequest {
     #[must_use]
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = Some(chunk);
-        self
-    }
-
-    /// Override the solver worker threads (execution-only: results are
-    /// bit-identical for any value, so this does not split the cache).
-    #[must_use]
-    pub fn solver_threads(mut self, solver_threads: usize) -> Self {
-        self.solver_threads = Some(solver_threads);
         self
     }
 
@@ -175,9 +165,6 @@ impl ExperimentRequest {
         if let Some(chunk) = self.chunk {
             fields.push(("chunk", Json::Num(chunk as f64)));
         }
-        if let Some(solver_threads) = self.solver_threads {
-            fields.push(("solver_threads", Json::Num(solver_threads as f64)));
-        }
         if self.faults {
             fields.push(("faults", Json::Bool(true)));
         }
@@ -218,7 +205,6 @@ impl ExperimentRequest {
         }
         req.threads = unsigned("threads")?.map(|n| n as usize);
         req.chunk = unsigned("chunk")?.map(|n| n as usize);
-        req.solver_threads = unsigned("solver_threads")?.map(|n| n as usize);
         if let Some(v) = doc.get("faults") {
             req.faults = v.as_bool().ok_or("'faults' must be a boolean")?;
         }
@@ -250,9 +236,6 @@ impl ExperimentRequest {
         }
         if let Some(chunk) = self.chunk {
             p.chunk = chunk;
-        }
-        if let Some(solver_threads) = self.solver_threads {
-            p.solver_threads = solver_threads;
         }
         p.validate().map_err(|e| Error::Internal {
             detail: format!("request '{}' rejected: {e}", self.name),

@@ -111,8 +111,7 @@ impl Experiment for ThermalPointExp {
         let mut d = Digest::new();
         d.u64(EXPLORE_SCHEMA_VERSION)
             .str(&self.name)
-            // semantic solver inputs; `threads` is deliberately absent
-            // (bit-identical for any value, same as the standard registry)
+            // semantic solver inputs
             .usize(cfg.nx)
             .usize(cfg.ny)
             .usize(cfg.max_iters)
@@ -125,11 +124,7 @@ impl Experiment for ThermalPointExp {
     }
 
     fn run(&self, ctx: &Ctx) -> Result<Artifact, Error> {
-        let cfg = ctx.solver_config(
-            SolverConfig::builder()
-                .threads(ctx.params.solver_threads)
-                .build(),
-        );
+        let cfg = ctx.solver_config(SolverConfig::default());
         let power_factor = OperatingPoint::scaled_together(self.vf).power_factor();
         let stack = thermal_stack_scaled(self.option, cfg.nx, power_factor);
         let solution = solve_with_stats(&stack, self.boundary.boundary(), cfg)?;

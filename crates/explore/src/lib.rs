@@ -35,6 +35,7 @@
 //!
 //! [`Sim`]: stacksim_core::harness::Sim
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -14,6 +14,7 @@
 //! other's faults; code fanning work out to threads hands its `Faults`
 //! value on and scopes it on each thread.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -33,6 +33,8 @@
 //! `SL06x` observability instrument tables and `SL07x` fault-injection
 //! site tables.
 
+#![forbid(unsafe_code)]
+
 pub mod diag;
 pub mod model;
 pub mod pass;

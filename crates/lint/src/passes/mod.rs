@@ -37,7 +37,6 @@ pub fn all() -> Vec<Box<dyn Pass>> {
         Box::new(params::WorkloadParamsValid),
         Box::new(params::EngineConfigValid),
         Box::new(params::SolverConfigValid),
-        Box::new(params::SolverThreads),
         Box::new(obs::ObsInstrumentNames),
         Box::new(faults::FaultSiteNames),
     ]

@@ -84,56 +84,6 @@ impl Pass for SolverConfigValid {
     }
 }
 
-/// `SL043`/`SL044`: the solver's thread count must be in range, and worth
-/// using — below roughly 2048 cells per thread the per-iteration fork-join
-/// overhead eats the parallel speedup, so a small grid with many threads is
-/// almost certainly a misconfiguration.
-pub struct SolverThreads;
-
-/// Minimum grid cells per solver thread before `SL044` considers the
-/// parallelism worthwhile.
-const CELLS_PER_THREAD_FLOOR: usize = 2048;
-
-impl Pass for SolverThreads {
-    fn id(&self) -> &'static str {
-        "params-solver-threads"
-    }
-
-    fn codes(&self) -> &'static [&'static str] {
-        &["SL043", "SL044"]
-    }
-
-    fn description(&self) -> &'static str {
-        "solver thread count must be in range and matched to the grid size"
-    }
-
-    fn run(&self, model: &Model, report: &mut Report) {
-        for (path, c) in &model.solvers {
-            if c.threads == 0 || c.threads > stacksim_thermal::MAX_SOLVER_THREADS {
-                report.error(
-                    "SL043",
-                    path.clone(),
-                    format!(
-                        "solver threads is {} but must be between 1 and {}",
-                        c.threads,
-                        stacksim_thermal::MAX_SOLVER_THREADS
-                    ),
-                );
-            } else if c.threads > 1 && c.nx * c.ny < CELLS_PER_THREAD_FLOOR * c.threads {
-                report.warn(
-                    "SL044",
-                    path.clone(),
-                    format!(
-                        "{} solver threads on a {}x{} grid leaves under {} cells \
-                         per thread; fork-join overhead will dominate",
-                        c.threads, c.nx, c.ny, CELLS_PER_THREAD_FLOOR
-                    ),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,52 +129,6 @@ mod tests {
             ..Model::new()
         };
         assert!(run(&SolverConfigValid, &model).has_code("SL042"));
-    }
-
-    #[test]
-    fn sl043_fires_on_out_of_range_threads() {
-        for threads in [0, stacksim_thermal::MAX_SOLVER_THREADS + 1] {
-            let mut c = SolverConfig::default();
-            c.threads = threads;
-            let model = Model {
-                solvers: vec![("fx".into(), c)],
-                ..Model::new()
-            };
-            let r = run(&SolverThreads, &model);
-            assert!(
-                r.has_code("SL043"),
-                "threads={threads}: {}",
-                r.render_pretty()
-            );
-        }
-    }
-
-    #[test]
-    fn sl044_warns_when_the_grid_is_too_small_for_the_threads() {
-        let mut c = SolverConfig::default();
-        c.nx = 20;
-        c.ny = 17;
-        c.threads = 4;
-        let model = Model {
-            solvers: vec![("fx".into(), c)],
-            ..Model::new()
-        };
-        let r = run(&SolverThreads, &model);
-        assert!(r.has_code("SL044"), "{}", r.render_pretty());
-        assert!(!r.has_errors(), "SL044 must be a warning, not an error");
-    }
-
-    #[test]
-    fn sl044_stays_quiet_on_a_big_enough_grid() {
-        let mut c = SolverConfig::default();
-        c.nx = 128;
-        c.ny = 128;
-        c.threads = 4;
-        let model = Model {
-            solvers: vec![("fx".into(), c)],
-            ..Model::new()
-        };
-        assert!(run(&SolverThreads, &model).is_clean());
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! # Ok::<(), stacksim_mem::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,8 @@
 //! instrumented component share the same cells. Callers that want a
 //! clean slate (the CLI, tests) call [`reset`] first.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 mod json;
 pub mod metrics;

@@ -27,6 +27,7 @@
 //! assert!(folded.ipc() >= planar.ipc());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -22,6 +22,7 @@
 //! assert!(m.power(same_perf) < 0.5 * 147.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -12,6 +12,7 @@
 //! breaking change, because trace generation (and therefore every figure
 //! artefact digest) depends on them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -21,7 +21,7 @@
 //!
 //! Submission bodies accept the same parameter overrides as
 //! [`ExperimentRequest`]: `seed`, `scale` (`"test"`/`"paper"`),
-//! `threads`, `chunk`, `solver_threads`, `faults` (opt this request
+//! `threads`, `chunk`, `faults` (opt this request
 //! into the server's armed fault plan), and `deadline_ms` (a
 //! per-request execution deadline, tightened against the server's
 //! resilience policy). Identical in-flight submissions deduplicate onto
@@ -51,6 +51,7 @@
 //! connections finish, and the session completes everything already
 //! submitted before `run` returns.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -30,6 +30,7 @@
 //! # Ok::<(), stacksim_thermal::SolveError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -37,7 +38,6 @@ pub mod faults;
 mod field;
 pub mod materials;
 pub mod obs;
-mod pool;
 mod resistor;
 mod solver;
 mod stack;
@@ -49,6 +49,5 @@ pub use solver::reference;
 pub use solver::{
     solve_transient, solve_with_stats, Preconditioner, Solution, SolveError, SolveStats,
     SolverConfig, SolverConfigBuilder, SolverConfigError, System, TransientPoint,
-    MAX_SOLVER_THREADS,
 };
 pub use stack::{Boundary, Layer, LayerStack, DESKTOP_H_TOP};

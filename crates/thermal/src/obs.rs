@@ -4,9 +4,7 @@
 //! this crate registers at runtime must appear in [`NAMES`].
 //!
 //! Timing here never feeds back into the numerics — the solver stays
-//! bit-identical with observability on or off, and the phase clocks and
-//! the residual trajectory are armed only on worker 0 of the CG driver, so
-//! the determinism contract of the multi-threaded CG is untouched.
+//! bit-identical with observability on or off.
 
 use std::time::Instant;
 
@@ -49,8 +47,8 @@ pub const NAMES: &[&str] = &[
 /// are spans; the rest are points). Listed for the event-schema docs and
 /// the SL060 table.
 pub const EVENT_SOLVE: &str = "thermal.cg.solve";
-/// Residual-trajectory point event (sampled by worker 0 at iteration 0 and
-/// at powers of two, whatever the worker count).
+/// Residual-trajectory point event (sampled at iteration 0 and at powers
+/// of two).
 pub const EVENT_TRAJECTORY: &str = "thermal.cg.trajectory";
 
 /// Phase indices of [`PhaseClock`].
@@ -61,7 +59,7 @@ pub(crate) const PH_REDUCE: usize = 3;
 
 /// Accumulates per-phase wall time for one solve and flushes it to the
 /// `thermal.phase.*` counters on drop (so every early return of the
-/// worker loop still reports). Armed only when observability is enabled
+/// CG loop still reports). Armed only when observability is enabled
 /// at solve start; disarmed it never reads the clock again.
 #[derive(Debug)]
 pub(crate) struct PhaseClock {

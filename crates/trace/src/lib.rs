@@ -29,6 +29,7 @@
 //! assert!(trace.validate().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

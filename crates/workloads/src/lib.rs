@@ -22,6 +22,7 @@
 //! assert_eq!(trace.cpu_count(), 2); // two-threaded, as in the paper
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -56,11 +56,6 @@ pub struct WorkloadParams {
     pub threads: usize,
     /// Interleave granularity when merging per-thread streams, in records.
     pub chunk: usize,
-    /// Worker threads each thermal solve may use. Purely an execution knob:
-    /// the solver is bit-identical for any value (its determinism
-    /// contract), so experiment digests must **not** absorb it — unlike
-    /// [`threads`](Self::threads), which shapes the generated trace.
-    pub solver_threads: usize,
 }
 
 impl Default for WorkloadParams {
@@ -70,7 +65,6 @@ impl Default for WorkloadParams {
             seed: 0x3d_d1e5,
             threads: 2,
             chunk: 32,
-            solver_threads: 1,
         }
     }
 }
@@ -125,11 +119,6 @@ impl WorkloadParams {
                 "interleave chunk must be at least 1 record",
             ));
         }
-        if self.solver_threads == 0 || self.solver_threads > 512 {
-            return Err(ParamsError::new(
-                "solver thread count must be between 1 and 512",
-            ));
-        }
         Ok(())
     }
 }
@@ -169,11 +158,12 @@ impl WorkloadParamsBuilder {
         self
     }
 
-    /// Worker threads each thermal solve may use (results are bit-identical
-    /// for any value).
+    /// Ignores its argument: a thermal solve always runs on the calling
+    /// thread. Kept only so the frozen `stackbench/` harness, which still
+    /// calls it, keeps building.
+    #[doc(hidden)]
     #[must_use]
-    pub fn solver_threads(mut self, solver_threads: usize) -> Self {
-        self.params.solver_threads = solver_threads;
+    pub fn solver_threads(self, _solver_threads: usize) -> Self {
         self
     }
 
@@ -239,24 +229,6 @@ mod tests {
     #[test]
     fn absurd_thread_count_rejected() {
         assert!(WorkloadParams::builder().threads(4096).try_build().is_err());
-    }
-
-    #[test]
-    fn solver_thread_bounds_rejected() {
-        assert_eq!(WorkloadParams::default().solver_threads, 1);
-        let err = WorkloadParams::builder().solver_threads(0).try_build();
-        assert!(err.unwrap_err().to_string().contains("solver thread"));
-        assert!(WorkloadParams::builder()
-            .solver_threads(513)
-            .try_build()
-            .is_err());
-        assert_eq!(
-            WorkloadParams::builder()
-                .solver_threads(8)
-                .build()
-                .solver_threads,
-            8
-        );
     }
 
     #[test]

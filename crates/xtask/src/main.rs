@@ -5,12 +5,14 @@
 //!   taint, unordered float reductions, lock-order cycles, relaxed
 //!   atomics, panic paths), ratcheted against `audit-baseline.txt`.
 //! * **`loom`** — the exhaustive interleaving models from
-//!   `stacksim-modelcheck` (spin barrier, session dedup slots), which are
+//!   `stacksim-modelcheck` (session dedup slots), which are
 //!   too slow for the default `cargo test` profile.
 //!
 //! The `unwrap`/`expect` ban on non-test code is a clippy lint, not a
 //! task here: `cargo clippy --workspace --lib --bins -- -D warnings
 //! -D clippy::unwrap_used -D clippy::expect_used`.
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -16,7 +16,7 @@
 //!                  [--metrics-out FILE] [--events FILE]
 //! stacksim check --all [--format json] [--test-scale]
 //! stacksim check fig8 table4 ...
-//! stacksim bench [--quick] [--threads N] [--out-dir D]
+//! stacksim bench [--quick] [--out-dir D]
 //!                [--metrics-out FILE] [--events FILE]
 //! stacksim stats [FILE] [--events FILE] [--failures FILE] [--format json]
 //! stacksim clean [--cache-dir D]
@@ -72,8 +72,6 @@ fn usage() -> ExitCode {
          \x20 --all              run every registered experiment\n\
          \x20 --jobs N           executor worker threads (default: all CPUs)\n\
          \x20 --serial           one worker thread (same results, bit-identical)\n\
-         \x20 --solver-threads N CG solver threads per experiment (default: 1;\n\
-         \x20                    results are bit-identical for any value)\n\
          \x20 --no-cache         neither read nor write the memo cache\n\
          \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
          \x20 --test-scale       small traces for a fast smoke run\n\
@@ -129,7 +127,6 @@ fn usage() -> ExitCode {
          \n\
          bench options:\n\
          \x20 --quick          one timed sample per benchmark (CI smoke)\n\
-         \x20 --threads N      solver threads for the fast thermal leg (default: 4)\n\
          \x20 --out-dir D      where BENCH_*.json land (default: .)\n\
          \x20 --metrics-out FILE / --events FILE  as for run\n\
          \n\
@@ -237,7 +234,6 @@ struct RunArgs {
     names: Vec<String>,
     all: bool,
     jobs: usize,
-    solver_threads: usize,
     no_cache: bool,
     cache_dir: PathBuf,
     test_scale: bool,
@@ -257,7 +253,6 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
         names: Vec::new(),
         all: false,
         jobs: 0,
-        solver_threads: 1,
         no_cache: false,
         cache_dir: default_cache_dir(),
         test_scale: false,
@@ -281,7 +276,6 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
             "--show" => out.show = true,
             "--keep-going" => out.keep_going = true,
             "--jobs" => out.jobs = it.next()?.parse().ok()?,
-            "--solver-threads" => out.solver_threads = it.next()?.parse().ok()?,
             "--cache-dir" => out.cache_dir = PathBuf::from(it.next()?),
             "--report" => out.report = Some(PathBuf::from(it.next()?)),
             "--metrics-out" => out.metrics_out = Some(PathBuf::from(it.next()?)),
@@ -309,16 +303,11 @@ fn run(args: &[String]) -> ExitCode {
     let Some(run_args) = parse_run_args(args) else {
         return usage();
     };
-    let mut params = if run_args.test_scale {
+    let params = if run_args.test_scale {
         WorkloadParams::test()
     } else {
         WorkloadParams::paper()
     };
-    params.solver_threads = run_args.solver_threads;
-    if let Err(e) = params.validate() {
-        eprintln!("stacksim: {e}");
-        return ExitCode::FAILURE;
-    }
     let cache = if run_args.no_cache {
         MemoCache::disabled()
     } else {
@@ -868,10 +857,6 @@ fn bench(args: &[String]) -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.threads = n,
-                _ => return usage(),
-            },
             "--out-dir" => match it.next() {
                 Some(d) => opts.out_dir = PathBuf::from(d),
                 None => return usage(),

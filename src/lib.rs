@@ -40,6 +40,8 @@
 //! # Ok::<(), stacksim::mem::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use stacksim_bench as bench;
 pub use stacksim_core as core;
 pub use stacksim_explore as explore;

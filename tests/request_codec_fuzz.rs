@@ -20,6 +20,8 @@ const CASES: usize = 20_000;
 const CORPUS: &[&str] = &[
     r#"{"experiment":"fig3"}"#,
     r#"{"experiment":"fig5:gauss","seed":7,"scale":"test"}"#,
+    // `solver_threads` is no longer a request field; older clients and
+    // journals still send it, so it stays here as an unknown field.
     r#"{"experiment":"fig8","scale":"paper","threads":4,"chunk":64,"solver_threads":2}"#,
     r#"{"experiment":"table4","faults":true,"deadline_ms":1500}"#,
     r#"{"experiment":"headline","seed":18446744073709551615,"faults":false}"#,

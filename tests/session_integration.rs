@@ -129,6 +129,59 @@ fn sim_artifact_matches_run_one_bit_for_bit() {
     assert_eq!(direct.encode(), via_sim.encode());
 }
 
+/// Requests written before the solver lost its thread knob still decode
+/// and replay. A journal line or serve body carrying `"solver_threads":2`
+/// recovers with the field dropped, and the recovered request is the
+/// same work as one that never carried it: same digest, one slot.
+#[test]
+fn a_journal_line_with_solver_threads_still_replays() {
+    use stacksim::core::harness::json::Json;
+    use stacksim::core::harness::RequestJournal;
+
+    let old = r#"{"experiment":"fig6","solver_threads":2}"#;
+    let body = ExperimentRequest::from_json(&Json::parse(old).unwrap()).unwrap();
+    assert_eq!(body.to_json().encode(), r#"{"experiment":"fig6"}"#);
+
+    let dir = scratch_dir("old-journal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("requests.jsonl");
+    std::fs::write(
+        &path,
+        format!(
+            "{{\"schema\":\"stacksim-journal/1\",\"ev\":\"accepted\",\"id\":0,\"request\":{old}}}\n"
+        ),
+    )
+    .unwrap();
+    let recovery = RequestJournal::recover(&path).unwrap();
+    assert_eq!(recovery.corrupt_skipped, 0);
+    assert_eq!(
+        recovery.unfinished.len(),
+        1,
+        "the old line is unfinished work"
+    );
+    let replayed = &recovery.unfinished[0];
+    assert_eq!(replayed.to_json().encode(), r#"{"experiment":"fig6"}"#);
+
+    let sim = Sim::builder()
+        .params(WorkloadParams::test())
+        .journal(std::sync::Arc::new(recovery.journal))
+        .start_paused(true)
+        .build();
+    let old_handle = sim.submit(replayed).unwrap();
+    let new_handle = sim.submit(&ExperimentRequest::new("fig6")).unwrap();
+    assert_eq!(old_handle.id(), new_handle.id(), "one slot of work");
+    sim.resume();
+    let outcome = old_handle.wait();
+    assert!(outcome.is_ok(), "{:?}", outcome.report.error);
+    sim.shutdown();
+    drop(sim);
+
+    // the replay recorded its completion: nothing is left to recover
+    let again = RequestJournal::recover(&path).unwrap();
+    assert!(again.unfinished.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Shutdown drains: requests submitted before (even to a paused session)
 /// still complete, and later submissions are refused.
 #[test]
