@@ -12,7 +12,7 @@
 //! | SA003 | no unordered float reductions in thermal/mem kernels |
 //! | SA004 | no lock-order cycles (session slots, cache lock file, obs) |
 //! | SA005 | every `Ordering::Relaxed` covered by the declared table |
-//! | SA006 | no panic paths on the scheduler thread / serve worker pool |
+//! | SA006 | no panic paths on the executor workers / serve connection threads |
 //!
 //! Findings can be waived in code with `// audit:allow(SAnnn) reason`;
 //! error-severity findings are additionally ratcheted against the

@@ -1,7 +1,8 @@
 //! SA006 — panic-path audit: `unwrap()`/`expect()` calls and panicking
 //! macros in non-test code, with module-aware severity. In code that
-//! runs on the session's executor workers or the serve worker pool —
-//! where a panic orphans dedup slots or kills a pool worker — they are errors;
+//! runs on the session's executor workers or the serve connection
+//! threads — where a panic orphans dedup slots or drops a client's
+//! response — they are errors;
 //! everywhere else they are warnings (clippy's `unwrap_used` /
 //! `expect_used` lints, denied in CI, keep `unwrap`/`expect` out of
 //! non-test code altogether). Indexing expressions in scheduler-context
@@ -20,8 +21,8 @@ use crate::passes::emit;
 
 pub const CODE: &str = "SA006";
 
-/// Files whose code runs on the executor workers or serve worker pool:
-/// a panic here wedges `wait()` callers or shrinks the pool.
+/// Files whose code runs on the executor workers or serve connection
+/// threads: a panic here wedges `wait()` callers or drops a response.
 fn scheduler_context(path: &str) -> bool {
     path.starts_with("crates/serve/src/")
         || matches!(

@@ -11,6 +11,7 @@
 //!   records wall time, CG iteration counts, cell-update throughput and the
 //!   speedup of fast over baseline, plus the worst peak-temperature
 //!   disagreement between baseline and fast as a correctness guard.
+//!   `--quick` solves the same sweep on a coarse grid.
 //! - `BENCH_mem.json` — trace-generation and memory-hierarchy simulation
 //!   throughput for the `gauss` RMS benchmark on the 32 MB stacked-DRAM
 //!   option, in records per second; the engine leg is timed twice, with
@@ -38,8 +39,9 @@ use crate::timing::{bench_n, group, Sample};
 /// How `stacksim bench` should run.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
-    /// One timed sample per benchmark instead of [`SAMPLES`] — for CI
-    /// smoke runs, where only the artefact shape matters, not the numbers.
+    /// One timed sample per benchmark instead of [`SAMPLES`], and the
+    /// thermal sweep on a coarse grid — for CI smoke runs, where only the
+    /// artefact shape matters, not the numbers.
     pub quick: bool,
     /// Directory the `BENCH_*.json` files are written into.
     pub out_dir: PathBuf,
@@ -56,6 +58,10 @@ impl Default for BenchOptions {
 
 /// Timed samples per benchmark in a full (non-quick) run.
 pub const SAMPLES: usize = 5;
+
+/// Grid width of the thermal sweep in a quick run (full runs use the
+/// default 40 cells).
+const QUICK_NX: usize = 6;
 
 /// Records per block in the streamed generate-while-simulate leg.
 const STREAM_BLOCK_LEN: usize = 4096;
@@ -130,10 +136,13 @@ impl ThermalLeg {
 fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
     group("thermal: fig3 conductivity sweep");
 
-    let base_cfg = SolverConfig::default();
-    let fast_cfg = SolverConfig::builder()
-        .preconditioner(Preconditioner::LineZ)
-        .build();
+    let grid = if opts.quick {
+        SolverConfig::builder().nx(QUICK_NX)
+    } else {
+        SolverConfig::builder()
+    };
+    let base_cfg = grid.clone().build();
+    let fast_cfg = grid.preconditioner(Preconditioner::LineZ).build();
 
     // Untimed runs first: collect CG statistics and the result sets so the
     // artefact can record how far the slow and fast paths disagree.

@@ -1243,6 +1243,17 @@ impl Sim {
         self.inner.params
     }
 
+    /// The executor worker count (`jobs`, with `0` resolved to one per
+    /// CPU).
+    pub fn jobs(&self) -> usize {
+        self.inner.jobs
+    }
+
+    /// The session's memo cache.
+    pub fn cache(&self) -> &MemoCache {
+        &self.inner.cache
+    }
+
     /// The session's armed fault plan, for callers that serve its
     /// network sites (`serve.*`) or report its injected count.
     pub fn faults(&self) -> Option<&Faults> {

@@ -8,6 +8,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use stacksim_core::harness::json::Json;
 use stacksim_core::harness::resilience::{SITE_SERVE_READ, SITE_SERVE_WRITE};
 use stacksim_faults::Fault;
 
@@ -219,9 +220,8 @@ pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &s
     respond_with(stream, status, content_type, &[], body);
 }
 
-/// [`respond`] with extra response headers (e.g. `Retry-After` on a
-/// load-shedding `503`/`429`).
-pub fn respond_with(
+/// [`respond`] with extra response headers.
+fn respond_with(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -274,16 +274,21 @@ pub fn respond_with(
 
 /// Maps a parse failure to its 4xx response.
 pub fn reject(stream: &mut TcpStream, err: &ParseError) {
-    let (status, detail) = match err {
-        ParseError::TooLarge => (413, "request too large".to_string()),
-        other => (400, other.to_string()),
+    match err {
+        ParseError::TooLarge => error_response(stream, 413, "request too large"),
+        other => error_response(stream, 400, &other.to_string()),
+    }
+}
+
+/// Writes a `{"error": detail}` JSON response. The load-shedding
+/// statuses, `429` and `503`, carry a `Retry-After: 1` hint.
+pub fn error_response(stream: &mut TcpStream, status: u16, detail: &str) {
+    let retry: &[(&str, &str)] = match status {
+        429 | 503 => &[("Retry-After", "1")],
+        _ => &[],
     };
-    respond(
-        stream,
-        status,
-        "application/json",
-        &format!("{{\"error\":{:?}}}\n", detail),
-    );
+    let body = Json::obj(vec![("error", Json::Str(detail.to_string()))]);
+    respond_with(stream, status, "application/json", retry, &body.encode());
 }
 
 #[cfg(test)]

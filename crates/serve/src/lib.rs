@@ -45,11 +45,13 @@
 //! the same cache entries as everything else. The response is the
 //! canonical `stacksim-explore/1` artifact.
 //!
-//! The accept loop runs on the caller's thread ([`Server::run`]) with a
-//! small worker pool for connections, and drains gracefully: when the
-//! shutdown flag flips, the listener stops accepting, in-flight
-//! connections finish, and the session completes everything already
-//! submitted before `run` returns.
+//! The accept loop runs on the caller's thread ([`Server::run`]) and
+//! starts one thread per accepted connection, at most `max_conns` at a
+//! time, so a long-poll never queues another client behind it. It
+//! drains gracefully on the same loop: when the shutdown flag flips,
+//! every new connection is answered `503`, in-flight connections finish,
+//! the session completes everything already submitted, and `run`
+//! returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +64,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use stacksim_core::harness::json::Json;
@@ -75,10 +77,8 @@ use stacksim_explore::{ExploreConfig, ExploreError, SearchMode, SpaceSpec};
 use stacksim_faults::{Fault, FaultPlan};
 use stacksim_workloads::WorkloadParams;
 
-use http::{read_request, reject, respond, respond_with, Request};
+use http::{error_response, read_request, reject, respond, Request};
 
-/// The `Retry-After` hint (seconds) on load-shedding responses.
-const RETRY_AFTER_S: &str = "1";
 /// Longest bounded long-poll `GET /v1/experiments/<id>?wait=1` honours.
 const MAX_WAIT_MS: u64 = 30_000;
 
@@ -90,8 +90,6 @@ pub struct ServeOptions {
     /// Listen address, e.g. `127.0.0.1:7878`. Port `0` picks a free one
     /// (see [`Server::local_addr`]).
     pub addr: String,
-    /// Connection worker threads.
-    pub pool: usize,
     /// Base workload parameters requests resolve overrides against.
     pub params: WorkloadParams,
     /// The session's executor worker threads; `0` means one per CPU.
@@ -102,15 +100,16 @@ pub struct ServeOptions {
     pub resilience: Resilience,
     /// The fault plan requests may opt into with `"faults": true`. The
     /// same plan is in scope for the daemon's whole lifetime on the
-    /// accept loop, the connection workers and the journal, so rules on
+    /// accept loop, the connection threads and the journal, so rules on
     /// the network sites (`serve.*` / `session.*`) are per-daemon chaos,
     /// not per-request.
     pub fault_plan: Option<FaultPlan>,
     /// Admission bound: queued+running experiment requests beyond this
     /// are shed with `503 + Retry-After`. `0` admits everything.
     pub max_pending: usize,
-    /// Concurrent-connection cap: connections beyond this are rejected
-    /// at accept with `429 + Retry-After`. `0` accepts everything.
+    /// Concurrent-connection cap, and so the bound on connection
+    /// threads: connections beyond this are rejected at accept with
+    /// `429 + Retry-After`. Must be at least 1; defaults to 64.
     pub max_conns: usize,
     /// Per-socket I/O timeout, doubling as the whole-request read
     /// deadline (the slowloris bound).
@@ -124,14 +123,13 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:7878".to_string(),
-            pool: 4,
             params: WorkloadParams::paper(),
             jobs: 0,
             cache: MemoCache::disabled(),
             resilience: Resilience::default(),
             fault_plan: None,
             max_pending: 0,
-            max_conns: 0,
+            max_conns: 64,
             io_timeout: http::DEFAULT_IO_TIMEOUT,
             journal: None,
         }
@@ -139,18 +137,8 @@ impl Default for ServeOptions {
 }
 
 /// Requests the daemon has accepted, by id, shared across connection
-/// workers. A `BTreeMap` keeps iteration order deterministic.
+/// threads. A `BTreeMap` keeps iteration order deterministic.
 type RequestMap = Arc<Mutex<BTreeMap<u64, RequestHandle>>>;
-
-/// What `POST /v1/explore` builds its short-lived sessions from: the
-/// server's own cache, base parameters and job count, so explorations
-/// hit the same memo entries as every other request.
-#[derive(Debug, Clone)]
-struct ExploreEnv {
-    params: WorkloadParams,
-    jobs: usize,
-    cache: MemoCache,
-}
 
 /// A bound (but not yet serving) daemon. Call [`Server::run`] to serve.
 #[derive(Debug)]
@@ -158,24 +146,27 @@ pub struct Server {
     listener: TcpListener,
     sim: Arc<Sim>,
     requests: RequestMap,
-    pool: usize,
     max_conns: usize,
     io_timeout: Duration,
-    explore_env: Arc<ExploreEnv>,
+}
+
+/// One live connection's place in the `max_conns` count. The connection
+/// thread owns it, so every way out of that thread, a panic included,
+/// frees the place.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Answers a connection that is turned away *before* its request was
-/// read (the 429 cap and the drain rejector): writes the rejection,
-/// half-closes, then drains whatever the client had already sent —
-/// closing with unread bytes queued would RST the response away.
-fn reject_conn(stream: &mut TcpStream, status: u16, body: &str) {
-    respond_with(
-        stream,
-        status,
-        "application/json",
-        &[("Retry-After", RETRY_AFTER_S)],
-        body,
-    );
+/// read (the 429 cap and the drain): writes the rejection, half-closes,
+/// then drains whatever the client had already sent — closing with
+/// unread bytes queued would RST the response away.
+fn reject_conn(stream: &mut TcpStream, status: u16, detail: &str) {
+    error_response(stream, status, detail);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let mut sink = [0u8; 4096];
@@ -191,18 +182,19 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`std::io::Error`] when the address cannot be bound or the
-    /// journal cannot be recovered.
+    /// [`std::io::Error`] when `max_conns` is 0, the address cannot be
+    /// bound or the journal cannot be recovered.
     pub fn bind(options: ServeOptions) -> std::io::Result<Server> {
+        if options.max_conns == 0 {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "max_conns must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(&options.addr)?;
         listener.set_nonblocking(true)?;
         stacksim_obs::enable();
         stacksim_obs::gauge(harness_obs::SERVE_DRAINING).set(0.0);
-        let explore_env = Arc::new(ExploreEnv {
-            params: options.params,
-            jobs: options.jobs,
-            cache: options.cache.clone(),
-        });
         let (journal, unfinished) = match &options.journal {
             Some(path) => {
                 let recovery = RequestJournal::recover(path).map_err(std::io::Error::other)?;
@@ -223,10 +215,8 @@ impl Server {
             listener,
             sim: Arc::new(sim),
             requests: Arc::new(Mutex::new(BTreeMap::new())),
-            pool: options.pool.clamp(1, 64),
             max_conns: options.max_conns,
             io_timeout: options.io_timeout,
-            explore_env,
         };
         stacksim_faults::scope(server.sim.faults(), || server.replay(unfinished));
         if let Some(journal) = &journal {
@@ -278,53 +268,16 @@ impl Server {
         &self.sim
     }
 
-    /// Serves until `shutdown` flips to `true`, then drains: the
-    /// listener stops accepting, connection workers finish, and every
-    /// experiment already submitted runs to completion.
+    /// Serves until `shutdown` flips to `true`, then drains: new
+    /// connections are answered `503 + Retry-After` until every
+    /// connection thread has finished and every submitted experiment has
+    /// run, and then the session shuts down.
     ///
     /// # Errors
     ///
     /// [`std::io::Error`] on a non-transient accept failure.
     pub fn run(self, shutdown: &AtomicBool) -> std::io::Result<()> {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let active = Arc::new(AtomicUsize::new(0));
-        let mut workers = Vec::with_capacity(self.pool);
-        for i in 0..self.pool {
-            let rx = rx.clone();
-            let sim = self.sim.clone();
-            let requests = self.requests.clone();
-            let explore_env = self.explore_env.clone();
-            let active = active.clone();
-            let io_timeout = self.io_timeout;
-            let worker = std::thread::Builder::new()
-                .name(format!("serve-conn-{i}"))
-                .spawn(move || {
-                    stacksim_faults::scope(sim.faults(), || loop {
-                        let next = {
-                            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                            guard.recv()
-                        };
-                        match next {
-                            Ok(mut stream) => {
-                                handle_connection(
-                                    &mut stream,
-                                    &sim,
-                                    &requests,
-                                    &explore_env,
-                                    io_timeout,
-                                );
-                                active.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            Err(_) => return, // channel closed: drain complete
-                        }
-                    });
-                });
-            if let Ok(handle) = worker {
-                workers.push(handle);
-            }
-        }
-
+        let live = Arc::new(AtomicUsize::new(0));
         stacksim_faults::scope(self.sim.faults(), || -> std::io::Result<()> {
             while !shutdown.load(Ordering::SeqCst) {
                 match self.listener.accept() {
@@ -336,17 +289,13 @@ impl Server {
                         {
                             continue;
                         }
-                        // queued-or-processing connections beyond the cap
-                        // are turned away before they can tie up a worker
-                        if self.max_conns > 0 && active.load(Ordering::SeqCst) >= self.max_conns {
+                        if live.load(Ordering::SeqCst) >= self.max_conns {
                             stacksim_obs::counter(harness_obs::SERVE_CONNS_REJECTED).add(1);
-                            reject_conn(&mut stream, 429, "{\"error\":\"too many connections\"}");
+                            reject_conn(&mut stream, 429, "too many connections");
                             continue;
                         }
-                        active.fetch_add(1, Ordering::SeqCst);
-                        if tx.send(stream).is_err() {
-                            break; // every worker died; nothing can serve
-                        }
+                        live.fetch_add(1, Ordering::SeqCst);
+                        self.spawn_connection(stream, ConnSlot(live.clone()));
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(10));
@@ -359,42 +308,41 @@ impl Server {
             Ok(())
         })?;
 
-        // graceful drain: close the funnel, finish connections, then let
-        // the session complete everything already submitted. A rejector
-        // keeps answering the socket meanwhile — late clients get an
-        // immediate `503 + Retry-After` instead of a hung connect.
+        // graceful drain: late clients get an immediate `503 +
+        // Retry-After` instead of a hung connect until the connections
+        // finish (so every submission they make is counted) and the
+        // session has run everything submitted
         stacksim_obs::gauge(harness_obs::SERVE_DRAINING).set(1.0);
-        let draining = Arc::new(AtomicBool::new(true));
-        let rejector = self.listener.try_clone().ok().and_then(|listener| {
-            let draining = draining.clone();
-            std::thread::Builder::new()
-                .name("serve-drain-reject".to_string())
-                .spawn(move || {
-                    while draining.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((mut stream, _)) => {
-                                reject_conn(&mut stream, 503, "{\"error\":\"server is draining\"}");
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(10));
-                            }
-                            Err(_) => return,
-                        }
-                    }
-                })
-                .ok()
-        });
-        drop(tx);
-        for worker in workers {
-            let _ = worker.join();
+        while live.load(Ordering::SeqCst) > 0 || self.sim.stats().inflight > 0 {
+            match self.listener.accept() {
+                Ok((mut stream, _)) => reject_conn(&mut stream, 503, "server is draining"),
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
         }
         self.sim.shutdown();
-        draining.store(false, Ordering::SeqCst);
-        if let Some(rejector) = rejector {
-            let _ = rejector.join();
-        }
         stacksim_obs::gauge(harness_obs::SERVE_DRAINING).set(0.0);
         Ok(())
+    }
+
+    /// Serves one accepted connection on its own thread, under the
+    /// session's fault plan. The thread holds `slot` until it exits.
+    fn spawn_connection(&self, mut stream: TcpStream, slot: ConnSlot) {
+        let sim = self.sim.clone();
+        let requests = self.requests.clone();
+        let io_timeout = self.io_timeout;
+        // if the thread cannot start, the closure drops: the client sees
+        // the connection close and the slot is freed
+        let _ = std::thread::Builder::new()
+            .name("serve-conn".to_string())
+            .spawn(move || {
+                stacksim_faults::scope(sim.faults(), || {
+                    handle_connection(&mut stream, &sim, &requests, io_timeout);
+                });
+                // free the place before the socket closes: a client that
+                // read its response to EOF can connect again at once
+                drop(slot);
+                drop(stream);
+            });
     }
 }
 
@@ -403,7 +351,6 @@ fn handle_connection(
     stream: &mut TcpStream,
     sim: &Sim,
     requests: &RequestMap,
-    explore_env: &ExploreEnv,
     io_timeout: Duration,
 ) {
     let request = match read_request(stream, io_timeout) {
@@ -420,7 +367,7 @@ fn handle_connection(
             respond(stream, 200, "application/json", &snapshot);
         }
         ("POST", "/v1/experiments") => submit(stream, sim, requests, &request),
-        ("POST", "/v1/explore") => explore(stream, explore_env, &request),
+        ("POST", "/v1/explore") => explore(stream, sim, &request),
         ("GET", path) if path.starts_with("/v1/experiments/") => {
             let rest = &path["/v1/experiments/".len()..];
             if let Some(id_text) = rest.strip_suffix("/artifact") {
@@ -447,20 +394,10 @@ fn submit(stream: &mut TcpStream, sim: &Sim, requests: &RequestMap, request: &Re
     };
     let handle = match sim.submit(&experiment_request) {
         Ok(h) => h,
-        Err(e) if e.kind() == "overloaded" => {
-            let body = Json::obj(vec![("error", Json::Str(e.to_string()))]);
-            respond_with(
-                stream,
-                503,
-                "application/json",
-                &[("Retry-After", RETRY_AFTER_S)],
-                &body.encode(),
-            );
-            return;
-        }
         Err(e) => {
             let code = match e.kind() {
                 "unknown-experiment" => 404,
+                "overloaded" => 503,
                 _ => 400,
             };
             error_response(stream, code, &e.to_string());
@@ -483,7 +420,7 @@ fn submit(stream: &mut TcpStream, sim: &Sim, requests: &RequestMap, request: &Re
 /// `POST /v1/explore`: run one synchronous design-space search in a
 /// short-lived session sharing the server's cache, parameters and job
 /// count, and answer with the canonical `stacksim-explore/1` artifact.
-fn explore(stream: &mut TcpStream, env: &ExploreEnv, request: &Request) {
+fn explore(stream: &mut TcpStream, sim: &Sim, request: &Request) {
     let cfg = match parse_explore(&request.body) {
         Ok(cfg) => cfg,
         Err(detail) => {
@@ -491,7 +428,12 @@ fn explore(stream: &mut TcpStream, env: &ExploreEnv, request: &Request) {
             return;
         }
     };
-    match stacksim_explore::run_exploration(&cfg, env.params, env.jobs, env.cache.clone()) {
+    match stacksim_explore::run_exploration(
+        &cfg,
+        sim.base_params(),
+        sim.jobs(),
+        sim.cache().clone(),
+    ) {
         Ok(outcome) => respond(stream, 200, "application/json", &outcome.artifact_json),
         Err(e @ ExploreError::Spec(_)) => error_response(stream, 400, &e.to_string()),
         Err(e) => error_response(stream, 500, &e.to_string()),
@@ -539,7 +481,7 @@ fn parse_submission(body: &str) -> Result<ExperimentRequest, String> {
 /// full report row once done. `?wait=1` long-polls, *bounded*: it blocks
 /// until completion or `timeout_ms` (default and ceiling 30 s), then
 /// answers `202 Accepted` with the current status — a slow experiment
-/// can never pin a connection worker indefinitely.
+/// can never pin a connection thread indefinitely.
 fn status(stream: &mut TcpStream, requests: &RequestMap, id_text: &str, request: &Request) {
     let Some(handle) = lookup(requests, id_text) else {
         error_response(stream, 404, "no such request id");
@@ -608,9 +550,4 @@ fn lookup(requests: &RequestMap, id_text: &str) -> Option<RequestHandle> {
         .unwrap_or_else(PoisonError::into_inner)
         .get(&id)
         .cloned()
-}
-
-fn error_response(stream: &mut TcpStream, code: u16, detail: &str) {
-    let body = Json::obj(vec![("error", Json::Str(detail.to_string()))]);
-    respond(stream, code, "application/json", &body.encode());
 }

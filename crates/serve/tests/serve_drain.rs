@@ -59,7 +59,6 @@ fn connections_during_the_drain_window_get_an_immediate_503() {
     };
     let mut options = ServeOptions::default();
     options.addr = "127.0.0.1:0".to_string();
-    options.pool = 2;
     options.jobs = 1;
     options.params = WorkloadParams::test();
     options.fault_plan = Some(plan);

@@ -51,7 +51,6 @@ fn daemon_serves_bit_identical_artifacts_and_drains_cleanly() {
     let dir = scratch_dir();
     let mut options = ServeOptions::default();
     options.addr = "127.0.0.1:0".to_string();
-    options.pool = 2;
     options.jobs = 1;
     options.params = WorkloadParams::test();
     options.cache = MemoCache::builder().dir(&dir).shards(4).build();

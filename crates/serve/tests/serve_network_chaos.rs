@@ -36,7 +36,6 @@ fn network_rules_fire_on_accept_and_write_without_opt_in() {
     };
     let mut options = ServeOptions::default();
     options.addr = "127.0.0.1:0".to_string();
-    options.pool = 2;
     options.jobs = 1;
     options.params = WorkloadParams::test();
     options.fault_plan = Some(plan);

@@ -63,7 +63,6 @@ fn submissions_past_the_pending_bound_shed_deterministically() {
     };
     let mut options = ServeOptions::default();
     options.addr = "127.0.0.1:0".to_string();
-    options.pool = 2;
     options.jobs = 1;
     options.params = WorkloadParams::test();
     options.fault_plan = Some(plan);

@@ -56,7 +56,6 @@ fn slow_and_stuck_clients_are_shed_without_poisoning_workers() {
     const IO_TIMEOUT: Duration = Duration::from_millis(400);
     let mut options = ServeOptions::default();
     options.addr = "127.0.0.1:0".to_string();
-    options.pool = 2;
     options.jobs = 1;
     options.params = WorkloadParams::test();
     options.io_timeout = IO_TIMEOUT;

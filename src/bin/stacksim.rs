@@ -99,7 +99,6 @@ fn usage() -> ExitCode {
          \n\
          serve options:\n\
          \x20 --addr A           listen address (default: 127.0.0.1:7878; port 0 = any)\n\
-         \x20 --pool N           connection worker threads (default: 4)\n\
          \x20 --jobs N           executor worker threads (default: all CPUs)\n\
          \x20 --no-cache         neither read nor write the memo cache\n\
          \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
@@ -111,8 +110,8 @@ fn usage() -> ExitCode {
          \x20                    daemon's lifetime (network chaos)\n\
          \x20 --max-pending N    shed submissions past N queued+running (503 +\n\
          \x20                    Retry-After; default: 0 = unbounded)\n\
-         \x20 --max-conns N      reject connections past N concurrent (429;\n\
-         \x20                    default: 0 = unbounded)\n\
+         \x20 --max-conns N      serve at most N connections at once, one thread\n\
+         \x20                    each; more get 429 (N >= 1; default: 64)\n\
          \x20 --io-timeout S     per-socket read/write timeout and whole-request\n\
          \x20                    read deadline, seconds (default: 10)\n\
          \x20 --journal FILE     append-only crash-recovery journal (default:\n\
@@ -126,7 +125,8 @@ fn usage() -> ExitCode {
          \x20 --test-scale     validate the test-scale parameter set\n\
          \n\
          bench options:\n\
-         \x20 --quick          one timed sample per benchmark (CI smoke)\n\
+         \x20 --quick          one timed sample per benchmark, coarse thermal grid\n\
+         \x20                  (CI smoke)\n\
          \x20 --out-dir D      where BENCH_*.json land (default: .)\n\
          \x20 --metrics-out FILE / --events FILE  as for run\n\
          \n\
@@ -659,6 +659,25 @@ fn install_shutdown_signals() {
 #[cfg(not(unix))]
 fn install_shutdown_signals() {}
 
+/// Caps glibc's malloc arenas at one per CPU. Each connection runs on a
+/// new thread, which takes whichever arena is free, so at glibc's default
+/// of 8 per CPU a multi-megabyte artifact encode stays resident in every
+/// arena that ever served one (+17 % peak RSS, two clients, 2 vCPUs).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn cap_malloc_arenas() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    unsafe {
+        mallopt(M_ARENA_MAX, i32::try_from(cpus).unwrap_or(i32::MAX));
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn cap_malloc_arenas() {}
+
 /// `stacksim serve`: the long-running HTTP/JSON experiment service —
 /// one warm `Sim` session (registry + shared cache + resilience policy)
 /// behind submit/status/artifact/metrics/healthz endpoints. SIGTERM or
@@ -683,9 +702,11 @@ fn serve(args: &[String]) -> ExitCode {
                 Some(a) => options.addr = a.clone(),
                 None => return usage(),
             },
-            "--pool" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => options.pool = n,
-                _ => return usage(),
+            // accepted and ignored so existing command lines still start:
+            // connections get their own threads, bounded by --max-conns
+            "--pool" => match it.next() {
+                Some(_) => {}
+                None => return usage(),
             },
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => options.jobs = n,
@@ -714,8 +735,8 @@ fn serve(args: &[String]) -> ExitCode {
                 None => return usage(),
             },
             "--max-conns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => options.max_conns = n,
-                None => return usage(),
+                Some(n) if n >= 1 => options.max_conns = n,
+                _ => return usage(),
             },
             "--io-timeout" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) if n >= 1 => options.io_timeout = std::time::Duration::from_secs(n),
@@ -757,6 +778,7 @@ fn serve(args: &[String]) -> ExitCode {
         }
     };
 
+    cap_malloc_arenas();
     let server = match stacksim::serve::Server::bind(options) {
         Ok(s) => s,
         Err(e) => {

@@ -2,7 +2,8 @@
 //! daemon is SIGKILLed with an accepted request still in flight; on
 //! restart the journal replays it (`journal.replayed` > 0), the memo
 //! cache makes the replay idempotent, and the recovered artifact is
-//! byte-identical to the plain in-process path.
+//! byte-identical to the plain in-process path. Also the serve flags
+//! that only the real binary parses.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
@@ -40,8 +41,6 @@ fn spawn_daemon(cache_dir: &PathBuf, fault_plan: Option<&PathBuf>) -> Daemon {
         .arg("--addr")
         .arg("127.0.0.1:0")
         .arg("--test-scale")
-        .arg("--pool")
-        .arg("2")
         .arg("--jobs")
         .arg("1")
         .arg("--cache-dir")
@@ -203,4 +202,32 @@ fn a_killed_daemon_recovers_its_accepted_work_from_the_journal() {
     );
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--pool N` is accepted and ignored, so command lines written for the
+/// old connection pool still start a daemon; a zero connection cap is a
+/// usage error.
+#[test]
+fn serve_ignores_pool_and_rejects_a_zero_connection_cap() {
+    let serve = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_stacksim"))
+            .arg("serve")
+            .args(["--no-cache", "--test-scale"])
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run stacksim serve")
+    };
+    let zero_cap = serve(&["--max-conns", "0"]);
+    assert_eq!(zero_cap.status.code(), Some(2), "--max-conns 0 is usage");
+
+    // an address that is already taken fails at bind (exit 1), which
+    // proves `--pool 2` got past the flag parser (usage would exit 2)
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let addr = taken.local_addr().expect("held address").to_string();
+    let pooled = serve(&["--pool", "2", "--addr", &addr]);
+    let stderr = String::from_utf8_lossy(&pooled.stderr);
+    assert_eq!(pooled.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot bind"), "{stderr}");
 }
