@@ -38,8 +38,8 @@ pub enum Error {
         detail: String,
     },
     /// An experiment digest handed to the memo cache was not the
-    /// lowercase-hex shape `Digest::hex` produces, so no shard (and no
-    /// cache path) can be derived for it.
+    /// lowercase-hex shape `Digest::hex` produces, so no cache path can
+    /// be derived for it.
     MalformedDigest {
         /// The offending digest string.
         digest: String,

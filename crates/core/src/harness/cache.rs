@@ -5,17 +5,13 @@
 //! portability). The digest already encodes every input, so a file's mere
 //! existence means the point is solved — loading it replaces the run.
 //!
-//! Beyond the flat layout of [`MemoCache::at`], the
-//! [builder](MemoCache::builder) configures the *service* shape the `Sim`
-//! session and `stacksim serve` share:
+//! Every command (`run`, `explore`, `serve`, `clean`) uses this one flat
+//! layout, so a point solved by one is a hit for all the others. The
+//! [builder](MemoCache::builder) adds what a long-lived service needs:
 //!
-//! * **Sharding** — entries spread across `s00/`..`sNN/` subdirectories
-//!   keyed by a hash over the whole digest, so a hot cache never funnels
-//!   every store through one directory and every configured shard
-//!   receives traffic.
 //! * **Size bound + LRU eviction** — with `max_bytes` set, every store
 //!   re-checks the cache footprint and evicts oldest-LRU entries (by file
-//!   mtime; hits refresh their entry's mtime) until the budget holds.
+//!   mtime; hits bump their entry's mtime in place) until the budget holds.
 //!   Eviction unlinks files, which on POSIX never disturbs a reader that
 //!   already opened the entry — an entry is never corrupted mid-read.
 //! * **Cross-process safety** — stores claim entries with a write-to-
@@ -44,16 +40,14 @@ use crate::error::Error;
 pub struct MemoCache {
     dir: Option<PathBuf>,
     max_bytes: Option<u64>,
-    shards: usize,
 }
 
-/// Configures a [`MemoCache`] beyond the flat unbounded default: a size
-/// budget with LRU eviction and a sharded directory layout.
+/// Configures a [`MemoCache`] beyond the unbounded default: a size budget
+/// with LRU eviction.
 #[derive(Debug, Clone, Default)]
 pub struct MemoCacheBuilder {
     dir: Option<PathBuf>,
     max_bytes: Option<u64>,
-    shards: usize,
 }
 
 impl MemoCacheBuilder {
@@ -73,11 +67,11 @@ impl MemoCacheBuilder {
         self
     }
 
-    /// Spread entries across `shards` subdirectories keyed by the digest
-    /// (clamped to `1..=256`; `1` keeps the flat legacy layout).
+    /// Ignored: every cache uses the one flat layout. Kept only so
+    /// existing callers still compile.
+    #[doc(hidden)]
     #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -87,7 +81,6 @@ impl MemoCacheBuilder {
         MemoCache {
             dir: self.dir,
             max_bytes: self.max_bytes,
-            shards: self.shards.clamp(1, 256),
         }
     }
 }
@@ -158,24 +151,18 @@ fn acquire_lock(dir: &Path) -> Result<CacheLock, Error> {
 impl MemoCache {
     /// A cache that never hits and never writes.
     pub fn disabled() -> Self {
-        MemoCache {
-            dir: None,
-            max_bytes: None,
-            shards: 1,
-        }
+        MemoCache::default()
     }
 
-    /// A flat, unbounded cache rooted at `dir` (created lazily on first
-    /// store) — the legacy CLI layout.
+    /// An unbounded cache rooted at `dir` (created lazily on first store).
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         MemoCache {
             dir: Some(dir.into()),
             max_bytes: None,
-            shards: 1,
         }
     }
 
-    /// Configure a sharded and/or size-bounded cache.
+    /// Configure a size-bounded cache.
     #[must_use]
     pub fn builder() -> MemoCacheBuilder {
         MemoCacheBuilder::default()
@@ -191,61 +178,21 @@ impl MemoCache {
         self.max_bytes
     }
 
-    /// The shard subdirectory an entry digest lands in (`None` for the
-    /// flat single-shard layout).
-    ///
-    /// Every digest byte is folded into the shard index (FNV-1a), so
-    /// close digests spread evenly and any shard count in `1..=256`
-    /// receives traffic — not just the shards a single leading byte can
-    /// reach.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::MalformedDigest`] when `digest` is empty or carries a
-    /// non-hex character: such a string cannot have come from
-    /// `Digest::hex`, and silently routing it to an arbitrary shard
-    /// would alias unrelated entries onto one file name space.
-    fn shard_for(&self, digest: &str) -> Result<Option<String>, Error> {
-        if digest.is_empty() || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(Error::MalformedDigest {
-                digest: digest.to_string(),
-            });
-        }
-        if self.shards <= 1 {
-            return Ok(None);
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in digest.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(Some(format!("s{:02x}", h % self.shards as u64)))
-    }
-
-    /// Every directory entries may live in (existing or not).
-    fn entry_dirs(&self) -> Vec<PathBuf> {
-        let Some(dir) = self.dir.as_ref() else {
-            return Vec::new();
-        };
-        if self.shards <= 1 {
-            vec![dir.clone()]
-        } else {
-            (0..self.shards)
-                .map(|s| dir.join(format!("s{s:02x}")))
-                .collect()
-        }
-    }
-
     /// The file a given experiment point lives at (`Ok(None)` when
     /// caching is disabled).
     ///
     /// # Errors
     ///
-    /// [`Error::MalformedDigest`] when `digest` is not the hex shape
-    /// `Digest::hex` produces (rejected even on a disabled cache, so
-    /// the bug surfaces regardless of configuration).
+    /// [`Error::MalformedDigest`] when `digest` is empty or not the hex
+    /// shape `Digest::hex` produces (rejected even on a disabled cache,
+    /// so the bug surfaces regardless of configuration): such a string
+    /// could carry path separators into the file name.
     pub fn path_for(&self, name: &str, digest: &str) -> Result<Option<PathBuf>, Error> {
-        let shard = self.shard_for(digest)?;
+        if digest.is_empty() || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(Error::MalformedDigest {
+                digest: digest.to_string(),
+            });
+        }
         let Some(dir) = self.dir.as_ref() else {
             return Ok(None);
         };
@@ -253,11 +200,7 @@ impl MemoCache {
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        let file = format!("{safe}-{digest}.json");
-        Ok(Some(match shard {
-            Some(shard) => dir.join(shard).join(file),
-            None => dir.join(file),
-        }))
+        Ok(Some(dir.join(format!("{safe}-{digest}.json"))))
     }
 
     /// Loads a memoized artifact, if one exists.
@@ -267,9 +210,8 @@ impl MemoCache {
     /// disk), carries no data worth reporting, and would otherwise wedge
     /// the entry as permanently "corrupt".
     ///
-    /// On a bounded cache a hit also refreshes the entry's mtime (by
-    /// atomically rewriting it), which is what makes eviction LRU rather
-    /// than FIFO.
+    /// On a bounded cache a hit also bumps the entry's mtime in place,
+    /// which is what makes eviction LRU rather than FIFO.
     ///
     /// # Errors
     ///
@@ -301,9 +243,13 @@ impl MemoCache {
         match Artifact::decode(&text) {
             Ok(a) => {
                 if self.max_bytes.is_some() {
-                    // mark the entry most-recently-used: an atomic rewrite
-                    // bumps its mtime without ever exposing partial content
-                    let _ = write_atomic(&path, &text);
+                    // mark the entry most-recently-used without rewriting
+                    // it; best effort, so an entry evicted since the read
+                    // (NotFound: never re-created here) still serves the hit
+                    let _ = fs::File::options()
+                        .write(true)
+                        .open(&path)
+                        .and_then(|f| f.set_modified(SystemTime::now()));
                 }
                 Ok(Some(a))
             }
@@ -347,8 +293,8 @@ impl MemoCache {
         Ok(Some(dest))
     }
 
-    /// Stores an artifact, creating the cache (and shard) directory if
-    /// needed, then enforces the size budget if one is configured.
+    /// Stores an artifact, creating the cache directory if needed, then
+    /// enforces the size budget if one is configured.
     ///
     /// # Errors
     ///
@@ -381,7 +327,8 @@ impl MemoCache {
     /// # Errors
     ///
     /// [`Error::Io`] on filesystem failure.
-    pub fn usage_bytes(&self) -> Result<u64, Error> {
+    #[cfg(test)]
+    fn usage_bytes(&self) -> Result<u64, Error> {
         Ok(self.scan_entries()?.iter().map(|e| e.len).sum())
     }
 
@@ -396,7 +343,7 @@ impl MemoCache {
     /// # Errors
     ///
     /// [`Error::Io`] on filesystem failure (a lock timeout included).
-    pub fn evict_to_budget(&self) -> Result<usize, Error> {
+    fn evict_to_budget(&self) -> Result<usize, Error> {
         let (Some(dir), Some(budget)) = (self.dir.as_ref(), self.max_bytes) else {
             return Ok(0);
         };
@@ -430,51 +377,53 @@ impl MemoCache {
 
     /// Every live cache entry with its size and mtime.
     fn scan_entries(&self) -> Result<Vec<EntryMeta>, Error> {
+        let Some(dir) = self.dir.as_ref() else {
+            return Ok(Vec::new());
+        };
+        let entries = match fs::read_dir(dir) {
+            Ok(e) => e,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(Error::io(dir.clone(), e)),
+        };
         let mut out = Vec::new();
-        for dir in self.entry_dirs() {
-            let entries = match fs::read_dir(&dir) {
-                Ok(e) => e,
-                Err(e) if e.kind() == ErrorKind::NotFound => continue,
-                Err(e) => return Err(Error::io(dir, e)),
-            };
-            for entry in entries {
-                let entry = entry.map_err(|e| Error::io(dir.clone(), e))?;
-                let path = entry.path();
-                let is_live = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.ends_with(".json"));
-                if !is_live || !path.is_file() {
-                    continue;
-                }
-                let Ok(md) = entry.metadata() else {
-                    continue; // raced with a concurrent eviction
-                };
-                let mtime = match md.modified() {
-                    Ok(t) => Some(t),
-                    Err(_) => {
-                        // metadata exists but carries no readable mtime
-                        // (exotic FS or transient error): record it so
-                        // operators can see the cache flying blind, and
-                        // let `eviction_order` keep the entry warm
-                        if stacksim_obs::enabled() {
-                            stacksim_obs::counter(super::obs::CACHE_MTIME_UNREADABLE).add(1);
-                        }
-                        None
-                    }
-                };
-                out.push(EntryMeta {
-                    mtime,
-                    len: md.len(),
-                    path,
-                });
+        for entry in entries {
+            let entry = entry.map_err(|e| Error::io(dir.clone(), e))?;
+            let path = entry.path();
+            let is_live = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.ends_with(".json"));
+            if !is_live || !path.is_file() {
+                continue;
             }
+            let Ok(md) = entry.metadata() else {
+                continue; // raced with a concurrent eviction
+            };
+            let mtime = match md.modified() {
+                Ok(t) => Some(t),
+                Err(_) => {
+                    // metadata exists but carries no readable mtime
+                    // (exotic FS or transient error): record it so
+                    // operators can see the cache flying blind, and
+                    // let `eviction_order` keep the entry warm
+                    if stacksim_obs::enabled() {
+                        stacksim_obs::counter(super::obs::CACHE_MTIME_UNREADABLE).add(1);
+                    }
+                    None
+                }
+            };
+            out.push(EntryMeta {
+                mtime,
+                len: md.len(),
+                path,
+            });
         }
         Ok(out)
     }
 
-    /// Deletes every cache entry, including quarantined ones and shard
-    /// subdirectories. Missing directories are fine.
+    /// Deletes every cache entry, including quarantined ones and those in
+    /// the `s00/`..`sff/` subdirectories older builds spread entries
+    /// over. Missing directories are fine.
     ///
     /// # Errors
     ///
@@ -484,16 +433,20 @@ impl MemoCache {
             return Ok(0);
         };
         let mut removed = clean_dir(dir)?;
-        for shard in self.entry_dirs() {
-            if shard == *dir {
-                continue;
-            }
-            removed += clean_dir(&shard)?;
-            remove_dir_if_empty(&shard)?;
+        let mut subdirs = vec![dir.join(QUARANTINE_DIR)];
+        if let Ok(entries) = fs::read_dir(dir) {
+            subdirs.extend(entries.flatten().map(|e| e.path()).filter(|p| {
+                let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                name.len() == 3
+                    && name.starts_with('s')
+                    && name[1..].bytes().all(|b| b.is_ascii_hexdigit())
+                    && p.is_dir()
+            }));
         }
-        let quarantine = dir.join(QUARANTINE_DIR);
-        removed += clean_dir(&quarantine)?;
-        remove_dir_if_empty(&quarantine)?;
+        for sub in subdirs {
+            removed += clean_dir(&sub)?;
+            remove_dir_if_empty(&sub)?;
+        }
         let _ = fs::remove_file(dir.join(LOCK_FILE));
         Ok(removed)
     }
@@ -691,35 +644,25 @@ mod tests {
         assert!(c.quarantine("fig3", "aa").unwrap().is_none());
     }
 
+    /// Caches written by older builds spread entries over `s00/`..`sff/`
+    /// subdirectories: `clean` reclaims them, and never touches the
+    /// serve journal that shares the cache root.
     #[test]
-    fn sharded_layout_round_trips_and_cleans() {
-        let dir = scratch("shard");
-        let c = MemoCache::builder().dir(&dir).shards(16).build();
-        c.store("fig5:gauss", "0a11", &sample()).unwrap();
-        c.store("fig5:conj", "ff22", &sample2()).unwrap();
-        let p = c.path_for("fig5:gauss", "0a11").unwrap().unwrap();
-        let shard_name = p
-            .parent()
-            .unwrap()
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .to_string();
+    fn clean_sweeps_legacy_subdirs_but_not_the_journal() {
+        let dir = scratch("legacy");
+        let legacy = dir.join("s0a");
+        let journal = dir.join("journal");
+        fs::create_dir_all(&legacy).unwrap();
+        fs::create_dir_all(&journal).unwrap();
+        fs::write(legacy.join("fig3-aa.json"), sample().encode()).unwrap();
+        fs::write(journal.join("requests.jsonl"), "{}\n").unwrap();
+        let c = MemoCache::at(&dir);
+        assert_eq!(c.clean().unwrap(), 1);
+        assert!(!legacy.exists(), "the emptied legacy directory is removed");
         assert!(
-            shard_name.starts_with('s') && shard_name.len() == 3,
-            "entry lands in a shard subdirectory: {}",
-            p.display()
+            journal.join("requests.jsonl").exists(),
+            "the journal is kept"
         );
-        // the mapping is stable: the same digest always picks the same shard
-        assert_eq!(p, c.path_for("fig5:gauss", "0a11").unwrap().unwrap());
-        assert_eq!(c.load("fig5:gauss", "0a11").unwrap(), Some(sample()));
-        assert_eq!(c.load("fig5:conj", "ff22").unwrap(), Some(sample2()));
-        // quarantine still lands at the cache root
-        let q = c.quarantine("fig5:conj", "ff22").unwrap().expect("moved");
-        assert_eq!(q.parent().unwrap(), dir.join("quarantine"));
-        assert_eq!(c.clean().unwrap(), 2);
-        assert!(c.load("fig5:gauss", "0a11").unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -757,6 +700,35 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A bounded hit bumps the entry's mtime in place: same inode, so no
+    /// rewrite happened.
+    #[cfg(unix)]
+    #[test]
+    fn bounded_hit_touches_without_rewriting() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = scratch("touch");
+        let c = MemoCache::builder().dir(&dir).max_bytes(1 << 20).build();
+        c.store("fig3", "aa", &sample()).unwrap();
+        let path = c.path_for("fig3", "aa").unwrap().unwrap();
+        let old = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000);
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
+        let before = fs::metadata(&path).unwrap();
+        assert_eq!(c.load("fig3", "aa").unwrap(), Some(sample()));
+        let after = fs::metadata(&path).unwrap();
+        assert_eq!(
+            before.ino(),
+            after.ino(),
+            "the hit must not rewrite the entry"
+        );
+        assert!(after.modified().unwrap() > old, "the hit bumps the mtime");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// Concurrent loads and budget-forced evictions never surface a
     /// corrupt entry: a reader sees a clean hit or a clean miss.
     #[test]
@@ -766,7 +738,6 @@ mod tests {
         let c = MemoCache::builder()
             .dir(&dir)
             .max_bytes(entry_len * 3)
-            .shards(4)
             .build();
         c.store("fig5:hot", "aa", &sample()).unwrap();
         let (first_load_done, first_load) = std::sync::mpsc::channel();
@@ -839,12 +810,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Regression (shard routing): a malformed digest is a typed error
-    /// on every entry operation — never a silent route to shard `s00`.
+    /// A malformed digest is a typed error on every entry operation —
+    /// never a file name built from unchecked input.
     #[test]
     fn malformed_digest_is_a_typed_error() {
         let dir = scratch("baddigest");
-        let c = MemoCache::builder().dir(&dir).shards(16).build();
+        let c = MemoCache::at(&dir);
         for bad in ["", "zz11", "0a1g", "dead-beef"] {
             assert!(
                 matches!(c.path_for("fig3", bad), Err(Error::MalformedDigest { .. })),
@@ -866,35 +837,6 @@ mod tests {
         // nothing was silently written anywhere
         assert_eq!(c.usage_bytes().unwrap(), 0);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Regression (shard routing): digests sharing a first byte spread
-    /// across shards — the old first-byte-only mapping funneled every
-    /// one of them into a single directory.
-    #[test]
-    fn shard_index_mixes_more_than_the_first_digest_byte() {
-        let c = MemoCache::builder().dir("unused").shards(256).build();
-        let mut shards = std::collections::BTreeSet::new();
-        for i in 0..64u32 {
-            let digest = format!("00{i:014x}");
-            let p = c.path_for("fig3", &digest).unwrap().unwrap();
-            shards.insert(p.parent().unwrap().file_name().unwrap().to_os_string());
-        }
-        assert!(
-            shards.len() > 1,
-            "64 digests with a shared first byte must not all land in one shard"
-        );
-    }
-
-    /// The builder clamps the shard count into `1..=256`: `s{:02x}`
-    /// directory names only exist for that range, so a larger request
-    /// must not configure permanently unreachable shards.
-    #[test]
-    fn builder_clamps_shard_count() {
-        let c = MemoCache::builder().dir("unused").shards(4096).build();
-        assert_eq!(c.entry_dirs().len(), 256);
-        let c = MemoCache::builder().dir("unused").shards(0).build();
-        assert_eq!(c.entry_dirs().len(), 1);
     }
 
     /// Regression (LRU ordering): an entry whose mtime is unreadable

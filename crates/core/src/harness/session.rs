@@ -4,7 +4,7 @@
 //! A `Sim` is constructed once (via [`SimBuilder`]) and then accepts any
 //! number of typed [`ExperimentRequest`]s over its lifetime. It owns what
 //! used to be per-CLI-process state — the experiment [`Registry`], the
-//! shared (optionally sharded and size-bounded) [`MemoCache`], the
+//! shared (optionally size-bounded) [`MemoCache`], the
 //! resilience policy, and an optional fault plan — so a long-running
 //! process (the `stacksim serve` daemon, a test harness, an exploration
 //! driver) can serve thousands of requests from one warm cache.

@@ -53,7 +53,7 @@ fn daemon_serves_bit_identical_artifacts_and_drains_cleanly() {
     options.addr = "127.0.0.1:0".to_string();
     options.jobs = 1;
     options.params = WorkloadParams::test();
-    options.cache = MemoCache::builder().dir(&dir).shards(4).build();
+    options.cache = MemoCache::at(&dir);
     let server = Server::bind(options).expect("bind on a free port");
     let addr = server.local_addr().expect("bound address");
     let sim = server.sim().clone();

@@ -12,7 +12,7 @@
 //! stacksim explore [--mode grid|random|evolve] [--budget N] [--seed N]
 //!                  [--spec FILE] [--out FILE] [--report] [--jobs N]
 //!                  [--test-scale] [--no-cache] [--cache-dir D]
-//!                  [--cache-max-bytes B] [--cache-shards N]
+//!                  [--cache-max-bytes B]
 //!                  [--metrics-out FILE] [--events FILE]
 //! stacksim check --all [--format json] [--test-scale]
 //! stacksim check fig8 table4 ...
@@ -95,7 +95,7 @@ fn usage() -> ExitCode {
          \x20 --out FILE         write the stacksim-explore/1 artifact to FILE\n\
          \x20 --report           print the rendered frontier + sensitivity tables\n\
          \x20 --jobs / --test-scale / --no-cache / --cache-dir / --cache-max-bytes /\n\
-         \x20 --cache-shards / --metrics-out / --events  as for run and serve\n\
+         \x20 --metrics-out / --events  as for run and serve\n\
          \n\
          serve options:\n\
          \x20 --addr A           listen address (default: 127.0.0.1:7878; port 0 = any)\n\
@@ -103,7 +103,6 @@ fn usage() -> ExitCode {
          \x20 --no-cache         neither read nor write the memo cache\n\
          \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
          \x20 --cache-max-bytes B  bound the cache; oldest-LRU entries evicted\n\
-         \x20 --cache-shards N   spread cache entries over N subdirectories\n\
          \x20 --test-scale       small traces (smoke/CI serving)\n\
          \x20 --fault-plan FILE  plan requests may opt into with \"faults\": true;\n\
          \x20                    its serve.*/session.* rules apply for the\n\
@@ -478,7 +477,6 @@ fn explore(args: &[String]) -> ExitCode {
     let mut no_cache = false;
     let mut cache_dir = default_cache_dir();
     let mut cache_max_bytes: Option<u64> = None;
-    let mut cache_shards = 16usize;
     let mut metrics_out: Option<PathBuf> = None;
     let mut events: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -517,10 +515,6 @@ fn explore(args: &[String]) -> ExitCode {
             },
             "--cache-max-bytes" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => cache_max_bytes = Some(n),
-                _ => return usage(),
-            },
-            "--cache-shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if (1..=256).contains(&n) => cache_shards = n,
                 _ => return usage(),
             },
             "--metrics-out" => match it.next() {
@@ -565,7 +559,6 @@ fn explore(args: &[String]) -> ExitCode {
         MemoCache::builder()
             .dir(&cache_dir)
             .max_bytes(cache_max_bytes)
-            .shards(cache_shards)
             .build()
     };
     let cfg = ExploreConfig {
@@ -686,7 +679,6 @@ fn serve(args: &[String]) -> ExitCode {
     let mut options = stacksim::serve::ServeOptions::default();
     let mut cache_dir = default_cache_dir();
     let mut cache_max_bytes: Option<u64> = None;
-    let mut cache_shards: usize = 16;
     let mut no_cache = false;
     let mut test_scale = false;
     let mut fault_plan: Option<PathBuf> = None;
@@ -718,12 +710,6 @@ fn serve(args: &[String]) -> ExitCode {
             },
             "--cache-max-bytes" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => cache_max_bytes = Some(n),
-                _ => return usage(),
-            },
-            "--cache-shards" => match it.next().and_then(|v| v.parse().ok()) {
-                // the cache clamps to 1..=256 internally; reject out-of-range
-                // values here so a typo'd shard count fails loudly
-                Some(n) if (1..=256).contains(&n) => cache_shards = n,
                 _ => return usage(),
             },
             "--fault-plan" => match it.next() {
@@ -760,7 +746,6 @@ fn serve(args: &[String]) -> ExitCode {
         MemoCache::builder()
             .dir(&cache_dir)
             .max_bytes(cache_max_bytes)
-            .shards(cache_shards)
             .build()
     };
     // crash recovery rides the cache by default: a journaled request is

@@ -3,7 +3,8 @@
 //! `stacksim-core`, `stacksim-thermal`, `stacksim-mem` and
 //! `stacksim-workloads`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use stacksim::core::harness::{Artifact, MemoCache, Registry, Sim};
 use stacksim::workloads::WorkloadParams;
@@ -221,4 +222,50 @@ fn run_reports_the_closure_in_registration_order() {
 
     let fig3 = sim.run(&["fig3".into()]).unwrap();
     assert_eq!(fig3.report.jobs, 1, "one experiment keeps one worker busy");
+}
+
+/// Every `*.json` file under `dir`, at any depth.
+fn json_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(json_files(&path));
+        } else if path.extension().is_some_and(|e| e == "json") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// One `--cache-dir` holds one set of entries for every command: a point
+/// an exploration solved is a `run` hit, and `clean` leaves no entry
+/// behind.
+#[test]
+fn explore_run_and_clean_share_one_cache_layout() {
+    let dir = scratch_dir("cross");
+    let stacksim = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_stacksim"))
+            .args(args)
+            .arg("--cache-dir")
+            .arg(&dir)
+            .output()
+            .expect("spawn stacksim");
+        assert!(
+            out.status.success(),
+            "stacksim {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    stacksim(&["explore", "--test-scale", "--budget", "1"]);
+    let run = stacksim(&["run", "fig5:conj", "--test-scale"]);
+    assert!(
+        run.lines()
+            .any(|l| l.split_whitespace().take(2).eq(["fig5:conj", "cached"])),
+        "the explored point must be served from the cache:\n{run}"
+    );
+    stacksim(&["clean"]);
+    assert_eq!(json_files(&dir), Vec::<PathBuf>::new());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -89,7 +89,7 @@ fn completed_request_resubmission_hits_the_cache() {
     let dir = scratch_dir("warm");
     let sim = Sim::builder()
         .params(WorkloadParams::test())
-        .cache(MemoCache::builder().dir(&dir).shards(4).build())
+        .cache(MemoCache::at(&dir))
         .build();
     let first = sim.submit(&ExperimentRequest::new("fig8")).unwrap().wait();
     assert!(first.is_ok(), "{:?}", first.report.error);
