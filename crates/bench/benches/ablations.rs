@@ -79,32 +79,9 @@ fn ablate_resistor() {
     bench("ablate_resistor_1d", || r1d.temperature(active, peak_q));
 }
 
-/// Ablation 4: allocation-at-request vs MSHR fill latency.
-fn ablate_fill_latency() {
-    let trace = RmsBenchmark::Gauss.generate(&WorkloadParams::test());
-    let run = |fill: bool| {
-        let mut cfg = HierarchyConfig::core2_baseline();
-        cfg.fill_latency = fill;
-        let mut e = Engine::new(
-            MemoryHierarchy::new(cfg).expect("valid preset"),
-            EngineConfig::default(),
-        );
-        e.run(&trace).cpma
-    };
-    let optimistic = run(false);
-    let realistic = run(true);
-    println!(
-        "[ablate_fill_latency] CPMA allocation-at-request {optimistic:.3} vs fill-latency \
-         {realistic:.3} ({:+.1}% from modelling fills)",
-        100.0 * (realistic / optimistic - 1.0)
-    );
-    bench("ablate_fill_latency_on", || run(true));
-}
-
 fn main() {
     group("ablations");
     ablate_deps();
     ablate_page_policy();
     ablate_resistor();
-    ablate_fill_latency();
 }

@@ -169,8 +169,6 @@ pub struct LayerDesc {
     pub k_vertical: f64,
     /// Lateral conductivity in W/mK.
     pub k_lateral: f64,
-    /// Volumetric heat capacity in J/(m³·K).
-    pub rhoc: f64,
     /// The power map, if this is an active layer.
     pub power: Option<PowerDesc>,
 }
@@ -183,7 +181,6 @@ impl LayerDesc {
             thickness_m: l.thickness(),
             k_vertical: l.conductivity(),
             k_lateral: l.lateral_conductivity(),
-            rhoc: l.heat_capacity(),
             power: l.power().map(|g| {
                 let (nx, ny) = g.dims();
                 let (w, h) = g.die_dims();

@@ -92,8 +92,8 @@ impl Pass for LayerOrder {
     }
 }
 
-/// `SL011`: every layer needs positive, finite thickness, conductivities
-/// and heat capacity, and the stack needs a positive die footprint.
+/// `SL011`: every layer needs positive, finite thickness and
+/// conductivities, and the stack needs a positive die footprint.
 pub struct LayerParams;
 
 impl Pass for LayerParams {
@@ -106,7 +106,7 @@ impl Pass for LayerParams {
     }
 
     fn description(&self) -> &'static str {
-        "layer thickness, conductivity and heat capacity must be positive and finite"
+        "layer thickness and conductivity must be positive and finite"
     }
 
     fn run(&self, model: &Model, report: &mut Report) {
@@ -127,7 +127,6 @@ impl Pass for LayerParams {
                     ("thickness", l.thickness_m),
                     ("vertical conductivity", l.k_vertical),
                     ("lateral conductivity", l.k_lateral),
-                    ("volumetric heat capacity", l.rhoc),
                 ];
                 for (what, v) in fields {
                     if !positive(v) || !v.is_finite() {
@@ -253,7 +252,6 @@ mod tests {
             thickness_m: 1e-3,
             k_vertical: 100.0,
             k_lateral: 100.0,
-            rhoc: 1.6e6,
             power,
         }
     }

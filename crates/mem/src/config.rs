@@ -307,11 +307,6 @@ pub struct HierarchyConfig {
     pub bus: BusConfig,
     /// Main memory.
     pub memory: MainMemoryConfig,
-    /// Model fill latency through MSHRs: a reference to a line that is
-    /// still in flight waits for the fill instead of hitting instantly
-    /// (allocation-at-request is the default, as in classic trace-driven
-    /// simulators; enabling this makes streaming reuse wait for fills).
-    pub fill_latency: bool,
 }
 
 impl HierarchyConfig {
@@ -326,7 +321,6 @@ impl HierarchyConfig {
             stacked: StackedLevel::None,
             bus: BusConfig::table3(),
             memory: MainMemoryConfig::table3(),
-            fill_latency: false,
         }
     }
 

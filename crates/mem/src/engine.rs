@@ -447,7 +447,6 @@ fn diff_stats(end: HierarchyStats, start: HierarchyStats) -> HierarchyStats {
         memory_served: end.memory_served - start.memory_served,
         l1_writebacks: end.l1_writebacks - start.l1_writebacks,
         offdie_writebacks: end.offdie_writebacks - start.offdie_writebacks,
-        fill_waits: end.fill_waits - start.fill_waits,
         latency_sum: end.latency_sum - start.latency_sum,
         last_completion: end.last_completion,
     }

@@ -5,8 +5,6 @@
 //! hierarchy is inclusive: evictions from an outer level back-invalidate the
 //! inner levels.
 
-use std::collections::HashMap;
-
 use stacksim_trace::{CpuId, MemOp};
 
 use crate::bus::Bus;
@@ -74,13 +72,7 @@ pub struct MemoryHierarchy {
     stacked: Option<StackedDram>,
     bus: Bus,
     memory: DramArray,
-    /// Completion times of lines currently being filled from memory
-    /// (consulted only when `fill_latency` is enabled).
-    inflight: HashMap<u64, Cycles>,
     stats: HierarchyStats,
-    /// `!(l1 line size - 1)`, hoisted out of the per-access path (the
-    /// configuration validated the size as a power of two once).
-    line_mask: u64,
     /// Observability handles (process-global cells; only touched at
     /// [`MemoryHierarchy::obs_flush`], never per access).
     obs: HierObs,
@@ -115,9 +107,7 @@ impl MemoryHierarchy {
             stacked,
             bus: Bus::new(cfg.bus),
             memory: DramArray::new(cfg.memory.dram)?,
-            inflight: HashMap::new(),
             stats: HierarchyStats::default(),
-            line_mask: !(cfg.l1d.line_size - 1),
             obs: HierObs::new(),
             base: ObsBaseline::default(),
             cfg,
@@ -137,11 +127,6 @@ impl MemoryHierarchy {
     /// The off-die bus (for bandwidth/power reporting).
     pub fn bus(&self) -> &Bus {
         &self.bus
-    }
-
-    /// Page-outcome counters of the stacked DRAM data array, if present.
-    pub fn stacked_dram_outcomes(&self) -> Option<(u64, u64, u64)> {
-        self.stacked.as_ref().map(|s| s.data.outcome_counts())
     }
 
     /// Simulates one memory reference issued by `cpu` at cycle `at`.
@@ -168,12 +153,7 @@ impl MemoryHierarchy {
         if l1.filter_hit(addr, is_write) {
             self.stats.accesses += 1;
             self.stats.l1_hits += 1;
-            let t = at + l1.config().latency;
-            let done = if self.cfg.fill_latency {
-                self.fill_gate(addr, t)
-            } else {
-                t
-            };
+            let done = at + l1.config().latency;
             self.stats.latency_sum += done - at;
             self.stats.last_completion = self.stats.last_completion.max(done);
             return AccessResult {
@@ -207,9 +187,8 @@ impl MemoryHierarchy {
         match l1.access_past_filter(addr, is_write) {
             Lookup::Hit | Lookup::SectorMiss => {
                 self.stats.l1_hits += 1;
-                let done = self.fill_gate(addr, t);
                 let result = AccessResult {
-                    done,
+                    done: t,
                     level: ServiceLevel::L1,
                 };
                 self.finish(at, result);
@@ -234,9 +213,8 @@ impl MemoryHierarchy {
             match l2.access(addr, false) {
                 Lookup::Hit | Lookup::SectorMiss => {
                     self.stats.l2_hits += 1;
-                    let done = self.fill_gate(addr, t);
                     let result = AccessResult {
-                        done,
+                        done: t,
                         level: ServiceLevel::L2,
                     };
                     self.finish(at, result);
@@ -310,31 +288,7 @@ impl MemoryHierarchy {
             .memory
             .access(addr, xfer.start + self.cfg.memory.transport);
         self.stats.memory_accesses += 1;
-        let done = mem.done.max(xfer.done);
-        if self.cfg.fill_latency {
-            let line = addr & self.line_mask;
-            self.inflight.insert(line, done);
-            if self.inflight.len() > 8192 {
-                self.inflight.retain(|_, d| *d + 100_000 > at);
-            }
-        }
-        done
-    }
-
-    /// When fill latency is modelled, a hit on a line whose fill has not
-    /// arrived yet (an MSHR coalesce) completes at the fill time instead.
-    fn fill_gate(&mut self, addr: u64, done: Cycles) -> Cycles {
-        if !self.cfg.fill_latency {
-            return done;
-        }
-        let line = addr & self.line_mask;
-        match self.inflight.get(&line) {
-            Some(&fill) if fill > done => {
-                self.stats.fill_waits += 1;
-                fill
-            }
-            _ => done,
-        }
+        mem.done.max(xfer.done)
     }
 
     /// A dirty L1 victim is written to the next level down. Pure state
@@ -465,7 +419,6 @@ impl MemoryHierarchy {
             o.l1_writebacks.add(s.l1_writebacks - b.l1_writebacks);
             o.offdie_writebacks
                 .add(s.offdie_writebacks - b.offdie_writebacks);
-            o.fill_waits.add(s.fill_waits - b.fill_waits);
             o.bus_bytes.add(bus.0 - self.base.bus_bytes);
             o.bus_transfers.add(bus.1 - self.base.bus_transfers);
             o.bus_busy_cycles.add(bus.2 - self.base.bus_busy);
@@ -656,31 +609,11 @@ mod tests {
     }
 
     #[test]
-    fn fill_latency_gates_reuse_of_inflight_lines() {
-        let mut cfg = HierarchyConfig::core2_baseline();
-        cfg.fill_latency = true;
-        let mut h = MemoryHierarchy::new(cfg).expect("valid test config");
-        // the miss departs at t=0 and completes off-die (~262)
-        let miss = h.access(CpuId::new(0), MemOp::Load, 0x50_0000, 0);
-        assert_eq!(miss.level, ServiceLevel::Memory);
-        // a second reference to the same line one cycle later must wait
-        // for the fill, not hit in 4 cycles
-        let reuse = h.access(CpuId::new(0), MemOp::Load, 0x50_0008, 1);
-        assert_eq!(reuse.level, ServiceLevel::L1, "tag is allocated");
-        assert_eq!(reuse.done, miss.done, "data arrives with the fill");
-        assert_eq!(h.stats().fill_waits, 1);
-        // after the fill, reuse is a normal L1 hit
-        let later = h.access(CpuId::new(0), MemOp::Load, 0x50_0010, miss.done + 10);
-        assert_eq!(later.done, miss.done + 14);
-    }
-
-    #[test]
-    fn fill_latency_off_keeps_allocation_at_request() {
+    fn reuse_during_a_miss_hits_before_the_fill() {
         let mut h = baseline();
         let miss = h.access(CpuId::new(0), MemOp::Load, 0x50_0000, 0);
         let reuse = h.access(CpuId::new(0), MemOp::Load, 0x50_0008, 1);
         assert!(reuse.done < miss.done, "classic trace-driven optimism");
-        assert_eq!(h.stats().fill_waits, 0);
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub const MEMORY_SERVED: &str = "mem.memory_served";
 pub const L1_WRITEBACKS: &str = "mem.l1_writebacks";
 /// Dirty lines leaving the die.
 pub const OFFDIE_WRITEBACKS: &str = "mem.offdie_writebacks";
-/// Hits gated behind an in-flight fill (MSHR coalesces).
-pub const FILL_WAITS: &str = "mem.fill_waits";
 /// Bytes moved over the off-die bus (incl. command overhead).
 pub const BUS_BYTES: &str = "mem.bus.bytes";
 /// Off-die bus transfers.
@@ -72,7 +70,6 @@ pub const NAMES: &[&str] = &[
     MEMORY_SERVED,
     L1_WRITEBACKS,
     OFFDIE_WRITEBACKS,
-    FILL_WAITS,
     BUS_BYTES,
     BUS_TRANSFERS,
     BUS_BUSY_CYCLES,
@@ -102,7 +99,6 @@ pub(crate) struct HierObs {
     pub memory_served: Counter,
     pub l1_writebacks: Counter,
     pub offdie_writebacks: Counter,
-    pub fill_waits: Counter,
     pub bus_bytes: Counter,
     pub bus_transfers: Counter,
     pub bus_busy_cycles: Counter,
@@ -151,7 +147,6 @@ impl HierObs {
             memory_served: stacksim_obs::counter(MEMORY_SERVED),
             l1_writebacks: stacksim_obs::counter(L1_WRITEBACKS),
             offdie_writebacks: stacksim_obs::counter(OFFDIE_WRITEBACKS),
-            fill_waits: stacksim_obs::counter(FILL_WAITS),
             bus_bytes: stacksim_obs::counter(BUS_BYTES),
             bus_transfers: stacksim_obs::counter(BUS_TRANSFERS),
             bus_busy_cycles: stacksim_obs::counter(BUS_BUSY_CYCLES),

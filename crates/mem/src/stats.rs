@@ -24,9 +24,6 @@ pub struct HierarchyStats {
     pub l1_writebacks: u64,
     /// Dirty lines that left the die (bus write-back transfers).
     pub offdie_writebacks: u64,
-    /// Hits on lines whose fill was still in flight (MSHR coalesces);
-    /// only counted when `fill_latency` is enabled.
-    pub fill_waits: u64,
     /// Sum of per-reference latencies (issue to satisfaction).
     pub latency_sum: Cycles,
     /// Latest completion time seen.

@@ -115,7 +115,10 @@ pub fn read_request(stream: &mut TcpStream, timeout: Duration) -> Result<Request
 /// header is accepted (duplicates are rejected even when they agree —
 /// request-smuggling shapes are not worth disambiguating), and a
 /// declared length over [`MAX_BODY`] is rejected *before* any body byte
-/// is read, so an oversized upload costs the server nothing.
+/// is read, so an oversized upload costs the server nothing. A head
+/// longer than [`MAX_HEAD`] is rejected too, and the body is read up to
+/// its declared length and no further, so no request makes the parser
+/// read more than `MAX_HEAD + MAX_BODY` bytes.
 ///
 /// # Errors
 ///
@@ -136,6 +139,9 @@ fn parse_request<R: Read>(
     let mut chunk = [0u8; 1024];
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
+            if pos + 4 > MAX_HEAD {
+                return Err(ParseError::TooLarge);
+            }
             break pos;
         }
         if buf.len() > MAX_HEAD {
@@ -187,13 +193,16 @@ fn parse_request<R: Read>(
         return Err(ParseError::TooLarge);
     }
 
-    // body bytes already buffered past the head, then the remainder
+    // body bytes already buffered past the head, then the remainder —
+    // never more than the remainder, so a request costs at most
+    // `MAX_HEAD + MAX_BODY` bytes of reading
     let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(overdue());
         }
-        let n = match stream.read(&mut chunk) {
+        let want = (content_length - body.len()).min(chunk.len());
+        let n = match stream.read(&mut chunk[..want]) {
             Ok(0) => return Err(ParseError::Malformed("connection closed mid-body")),
             Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -423,5 +432,206 @@ mod tests {
         )
         .expect_err("deadline in the past must shed");
         assert!(matches!(err, ParseError::Io(_)), "{err}");
+    }
+
+    /// Seeded mutation fuzzing of [`parse_request`]: valid request heads
+    /// and bodies are mutated with byte flips, inserts, deletes and
+    /// truncations under a fixed seed, so any failure reproduces exactly.
+    mod fuzz {
+        use super::*;
+        use stacksim_rng::StdRng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        const CASES: usize = 2_000;
+
+        /// Bytes likely to change how the parser frames a request.
+        const INTERESTING: &[u8] = b"\r\n: ?&=/0123456789-+ \tGETPOSTContent-Length\x00\xff";
+
+        /// Valid requests as clients send them, plus two at the size caps.
+        fn corpus() -> Vec<Vec<u8>> {
+            let mut corpus: Vec<Vec<u8>> = [
+                "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n",
+                "GET /metrics HTTP/1.1\r\n\r\n",
+                "GET /v1/experiments/3?wait=1&timeout_ms=250 HTTP/1.1\r\nHost: x\r\n\r\n",
+                "GET /v1/experiments/12/artifact HTTP/1.1\r\nAccept: */*\r\n\r\n",
+                "POST /v1/experiments HTTP/1.1\r\nHost: x\r\nContent-Length: 21\r\n\r\n\
+                 {\"experiment\":\"fig3\"}",
+                "POST /v1/experiments?x=1 HTTP/1.1\r\ncontent-length: 36\r\n\r\n\
+                 {\"experiment\":\"fig5:gauss\",\"seed\":7}",
+                "POST /v1/explore HTTP/1.1\r\nContent-Type: application/json\r\n\
+                 Content-Length: 29\r\n\r\n{\"mode\":\"random\",\"budget\":20}",
+            ]
+            .iter()
+            .map(|r| r.as_bytes().to_vec())
+            .collect();
+            // heads of exactly `MAX_HEAD` bytes, the second with a
+            // `MAX_BODY` body
+            for (line, body) in [("GET /healthz", 0), ("POST /v1/explore", MAX_BODY)] {
+                let head = format!("{line} HTTP/1.1\r\nContent-Length: {body}\r\nX-Pad: ");
+                let mut bytes = head.into_bytes();
+                bytes.resize(MAX_HEAD - 4, b'a');
+                bytes.extend_from_slice(b"\r\n\r\n");
+                bytes.resize(MAX_HEAD + body, b' ');
+                corpus.push(bytes);
+            }
+            corpus
+        }
+
+        fn mutate(rng: &mut StdRng, input: &[u8]) -> Vec<u8> {
+            let mut bytes = input.to_vec();
+            for _ in 0..rng.gen_range(1usize..5) {
+                let at = rng.gen_range(0..bytes.len() + 1);
+                match rng.gen_range(0u32..4) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0u32..8),
+                    1 => {
+                        let byte = if rng.gen_bool(0.5) {
+                            INTERESTING[rng.gen_range(0..INTERESTING.len())]
+                        } else {
+                            rng.gen_range(0u8..=255)
+                        };
+                        bytes.insert(at, byte);
+                    }
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            bytes
+        }
+
+        /// The request bytes, then either EOF or an endless run of
+        /// filler (a peer that keeps sending), handed out at most `step`
+        /// bytes per read. Counts every byte it hands out.
+        struct Source<'a> {
+            bytes: &'a [u8],
+            endless: bool,
+            step: usize,
+            read: usize,
+        }
+
+        impl Read for Source<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let want = buf.len().min(self.step);
+                let left = &self.bytes[self.read.min(self.bytes.len())..];
+                let n = if !left.is_empty() {
+                    let n = want.min(left.len());
+                    buf[..n].copy_from_slice(&left[..n]);
+                    n
+                } else if self.endless {
+                    buf[..want].fill(b'x');
+                    want
+                } else {
+                    0
+                };
+                self.read += n;
+                Ok(n)
+            }
+        }
+
+        /// The `Content-Length` a head declares, if its one such header
+        /// parses.
+        fn declared_length(head: &[u8]) -> Option<usize> {
+            let head = String::from_utf8_lossy(head);
+            let mut lengths = head
+                .split("\r\n")
+                .skip(1)
+                .filter_map(|line| line.split_once(':'))
+                .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"));
+            let length = lengths
+                .next()
+                .map_or(Some(0), |(_, v)| v.trim().parse().ok());
+            if lengths.next().is_some() {
+                return None;
+            }
+            length
+        }
+
+        /// Parses one source; `Ok(true)` when accepted, `Ok(false)` when
+        /// refused, `Err` with the broken invariant otherwise.
+        fn check(mut src: Source<'_>) -> Result<bool, String> {
+            let parsed = catch_unwind(AssertUnwindSafe(|| parse_request(&mut src, None)))
+                .map_err(|_| "parsing panicked".to_string())?;
+            if src.read > MAX_HEAD + MAX_BODY {
+                return Err(format!("read {} bytes past the caps", src.read));
+            }
+            let request = match parsed {
+                Ok(request) => request,
+                Err(e) if e.to_string().is_empty() => return Err("a silent ParseError".into()),
+                Err(_) => return Ok(false),
+            };
+            // everything the parser was handed, filler included
+            let mut seen = src.bytes[..src.read.min(src.bytes.len())].to_vec();
+            seen.resize(src.read, b'x');
+            let head_end =
+                find_head_end(&seen).ok_or("accepted a request without a head terminator")?;
+            let length = declared_length(&seen[..head_end])
+                .ok_or("accepted a request without one valid Content-Length")?;
+            if length > MAX_BODY {
+                return Err(format!("accepted a {length}-byte body"));
+            }
+            // the body is the `length` bytes after the head, read in
+            // full; invalid UTF-8 in it is replaced, not dropped
+            let raw = seen
+                .get(head_end + 4..head_end + 4 + length)
+                .ok_or("accepted a body it never read")?;
+            if request.body != String::from_utf8_lossy(raw) {
+                return Err(format!(
+                    "body of {} bytes for a Content-Length of {length}",
+                    request.body.len()
+                ));
+            }
+            Ok(true)
+        }
+
+        #[test]
+        fn mutated_requests_parse_or_refuse_within_the_caps() {
+            let corpus = corpus();
+            for (i, bytes) in corpus.iter().enumerate() {
+                let src = Source {
+                    bytes,
+                    endless: false,
+                    step: usize::MAX,
+                    read: 0,
+                };
+                assert_eq!(check(src), Ok(true), "corpus request {i} is valid");
+            }
+            let mut rng = StdRng::seed_from_u64(0x4e77_9a55);
+            let (mut accepted, mut refused) = (0, 0);
+            for case in 0..CASES {
+                // the two entries at the caps cost ~100x a small one, and an endless
+                // source ~20x
+                let seed = if rng.gen_bool(0.05) {
+                    &corpus[rng.gen_range(corpus.len() - 2..corpus.len())]
+                } else {
+                    &corpus[rng.gen_range(0..corpus.len() - 2)]
+                };
+                let bytes = mutate(&mut rng, seed);
+                // short reads only on short, finite inputs: the head scan
+                // is quadratic in the number of reads
+                let short = bytes.len() < 512 && rng.gen_bool(0.3);
+                let src = Source {
+                    bytes: &bytes,
+                    endless: !short && rng.gen_bool(0.25),
+                    step: if short {
+                        rng.gen_range(1usize..8)
+                    } else {
+                        usize::MAX
+                    },
+                    read: 0,
+                };
+                match check(src) {
+                    Ok(true) => accepted += 1,
+                    Ok(false) => refused += 1,
+                    Err(broken) => {
+                        let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(200)]);
+                        panic!("case {case}, request {shown:?}...: {broken}")
+                    }
+                }
+            }
+            // the corpus reaches both sides of the parser
+            assert!(accepted > CASES / 20, "{accepted} accepted");
+            assert!(refused > CASES / 20, "{refused} refused");
+        }
     }
 }

@@ -65,7 +65,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use stacksim_core::harness::json::Json;
 use stacksim_core::harness::resilience::SITE_SERVE_ACCEPT;
@@ -161,16 +161,29 @@ impl Drop for ConnSlot {
     }
 }
 
+/// Longest the accept loop spends draining one rejected connection.
+const REJECT_DRAIN: Duration = Duration::from_millis(250);
+
 /// Answers a connection that is turned away *before* its request was
 /// read (the 429 cap and the drain): writes the rejection, half-closes,
 /// then drains whatever the client had already sent — closing with
-/// unread bytes queued would RST the response away.
+/// unread bytes queued would RST the response away. This runs on the
+/// accept loop, so the drain stops at [`REJECT_DRAIN`] in total: a
+/// client trickling bytes cannot hold the loop.
 fn reject_conn(stream: &mut TcpStream, status: u16, detail: &str) {
     error_response(stream, status, detail);
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let deadline = Instant::now() + REJECT_DRAIN;
     let mut sink = [0u8; 4096];
-    while matches!(std::io::Read::read(stream, &mut sink), Ok(n) if n > 0) {}
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if !matches!(std::io::Read::read(stream, &mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 impl Server {

@@ -2,16 +2,17 @@
 //! own thread, at most `max_conns` at a time. With the cap reached,
 //! further connections are answered `429 + Retry-After` at accept and
 //! counted in `serve.conns_rejected`, no thread is started for them, and
-//! a held connection frees its place when it closes or times out.
+//! a held connection frees its place when it closes or times out. A
+//! rejected client cannot hold the accept loop by trickling bytes.
 //!
-//! One test function on purpose: the metrics registry is process-global,
-//! so concurrent tests would race its counters (this file asserts exact
-//! counts).
+//! The tests run one at a time under [`serial`]: the metrics registry
+//! and the thread count are process-global, so concurrent tests would
+//! race them (this file asserts exact counts).
 
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use stacksim_serve::{ServeOptions, Server};
@@ -58,6 +59,35 @@ fn counter(name: &str) -> u64 {
         .map_or(0, |(_, v)| *v)
 }
 
+/// Holds the file's test lock for the caller's lifetime.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Binds a daemon on a free port and serves it on a thread.
+fn start(
+    max_conns: usize,
+    io_timeout: Duration,
+) -> (
+    SocketAddr,
+    Arc<AtomicBool>,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let mut options = ServeOptions::default();
+    options.addr = "127.0.0.1:0".to_string();
+    options.jobs = 1;
+    options.params = WorkloadParams::test();
+    options.max_conns = max_conns;
+    options.io_timeout = io_timeout;
+    let server = Server::bind(options).expect("bind on a free port");
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = shutdown.clone();
+    let daemon = std::thread::spawn(move || server.run(&flag));
+    (addr, shutdown, daemon)
+}
+
 /// The process's thread count, where `/proc/self/status` exists.
 fn threads() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -71,17 +101,8 @@ fn threads() -> Option<usize> {
 fn connections_past_the_cap_get_429_and_no_thread() {
     const MAX_CONNS: usize = 3;
     const IO_TIMEOUT: Duration = Duration::from_millis(1500);
-    let mut options = ServeOptions::default();
-    options.addr = "127.0.0.1:0".to_string();
-    options.jobs = 1;
-    options.params = WorkloadParams::test();
-    options.max_conns = MAX_CONNS;
-    options.io_timeout = IO_TIMEOUT;
-    let server = Server::bind(options).expect("bind on a free port");
-    let addr = server.local_addr().expect("bound address");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let flag = shutdown.clone();
-    let daemon = std::thread::spawn(move || server.run(&flag));
+    let _serial = serial();
+    let (addr, shutdown, daemon) = start(MAX_CONNS, IO_TIMEOUT);
 
     let (code, text) = request(&addr, "GET /healthz HTTP/1.1");
     assert_eq!(code, 200, "{text}");
@@ -149,6 +170,45 @@ fn connections_past_the_cap_get_429_and_no_thread() {
     let (code, text) = request(&addr, "GET /healthz HTTP/1.1");
     assert_eq!(code, 200, "a timed-out socket kept its place: {text}");
 
+    shutdown.store(true, Ordering::SeqCst);
+    let outcome = daemon.join().expect("daemon thread must not panic");
+    assert!(outcome.is_ok(), "{outcome:?}");
+}
+
+/// A rejected client that sends a byte every 300 ms keeps its socket
+/// open for as long as it likes; the accept loop stops draining it after
+/// a bounded time, so the next client's `429` is prompt.
+#[test]
+fn a_trickling_rejected_client_does_not_hold_the_accept_loop() {
+    let _serial = serial();
+    let (addr, shutdown, daemon) = start(1, Duration::from_secs(30));
+    // the only place goes to an idle connection, accepted first
+    let held = TcpStream::connect(addr).expect("connect");
+    let mut trickler = TcpStream::connect(addr).expect("connect");
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickling = stop.clone();
+    let drip = std::thread::spawn(move || {
+        for _ in 0..20 {
+            if trickling.load(Ordering::SeqCst) || trickler.write_all(b"G").is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    // by now the accept loop has turned the trickler away and is draining
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    let (code, text) = request(&addr, "GET /healthz HTTP/1.1");
+    let waited = started.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    drip.join().expect("trickler thread");
+    assert_eq!(code, 429, "{text}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "the 429 took {waited:?} behind a trickling client"
+    );
+
+    drop(held);
     shutdown.store(true, Ordering::SeqCst);
     let outcome = daemon.join().expect("daemon thread must not panic");
     assert!(outcome.is_ok(), "{outcome:?}");

@@ -87,19 +87,6 @@ pub const MOTHERBOARD: Material = Material {
 /// Ambient temperature in °C (Table 2: 40 °C).
 pub const AMBIENT_C: f64 = 40.0;
 
-/// Default volumetric heat capacity ρc in J/(m³·K) for layers without a
-/// specific value (between silicon's 1.63e6 and copper's 3.45e6). The
-/// paper's Eq. (1) carries ρ and c per material; only the transient solver
-/// consumes them, so a representative default suffices for the stack's
-/// composite layers.
-pub const RHOC_DEFAULT: f64 = 1.8e6;
-
-/// Volumetric heat capacity of silicon, J/(m³·K).
-pub const RHOC_SILICON: f64 = 1.63e6;
-
-/// Volumetric heat capacity of copper, J/(m³·K).
-pub const RHOC_COPPER: f64 = 3.45e6;
-
 /// Table 2 layer thicknesses.
 pub mod thickness {
     use super::Metres;

@@ -12,9 +12,6 @@ pub struct Layer {
     thickness: Metres,
     k: Conductivity,
     k_lateral: Conductivity,
-    /// Volumetric heat capacity ρc in J/(m³·K), used by the transient
-    /// solver (Eq. 1's ρc ∂T/∂t term).
-    rhoc: f64,
     power: Option<PowerGrid>,
 }
 
@@ -32,7 +29,6 @@ impl Layer {
             thickness,
             k,
             k_lateral: k,
-            rhoc: materials::RHOC_DEFAULT,
             power: None,
         }
     }
@@ -92,24 +88,6 @@ impl Layer {
     /// The power map, if this is an active layer.
     pub fn power(&self) -> Option<&PowerGrid> {
         self.power.as_ref()
-    }
-
-    /// Volumetric heat capacity ρc in J/(m³·K).
-    pub fn heat_capacity(&self) -> f64 {
-        self.rhoc
-    }
-
-    /// A copy with a different volumetric heat capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhoc` is not positive.
-    pub fn with_heat_capacity(&self, rhoc: f64) -> Layer {
-        assert!(rhoc > 0.0, "heat capacity must be positive");
-        Layer {
-            rhoc,
-            ..self.clone()
-        }
     }
 
     /// A copy with a different conductivity (for sensitivity sweeps).

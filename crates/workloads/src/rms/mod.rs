@@ -105,20 +105,6 @@ impl RmsBenchmark {
         }
     }
 
-    /// Whether the benchmark's working set exceeds the baseline 4 MB L2
-    /// (and is therefore expected to benefit from stacked capacity).
-    pub fn capacity_sensitive(&self) -> bool {
-        matches!(
-            self,
-            RmsBenchmark::Gauss
-                | RmsBenchmark::Pcg
-                | RmsBenchmark::SMvm
-                | RmsBenchmark::STrans
-                | RmsBenchmark::SUs
-                | RmsBenchmark::Svm
-        )
-    }
-
     /// Generates the two-threaded SMP trace for this benchmark: each
     /// thread's trace in turn on the calling thread, then the round-robin
     /// [`Merge`] of the thread traces.

@@ -78,12 +78,6 @@ impl SparsePattern {
         let hi = self.row_ptr[row as usize + 1] as usize;
         &self.col_idx[lo..hi]
     }
-
-    /// Approximate CSR memory footprint in bytes (8 B values + 4 B column
-    /// indices + 8 B row pointers), for sizing documentation.
-    pub fn csr_bytes(&self) -> u64 {
-        self.nnz() * (8 + 4) + (self.rows + 1) * 8
-    }
 }
 
 #[cfg(test)]
