@@ -37,6 +37,14 @@ pub enum Error {
         /// What failed to parse.
         detail: String,
     },
+    /// A stored cache entry no longer holds the bytes its load or store
+    /// reported: it was evicted, cleaned or quarantined, or rewritten.
+    CacheEntryChanged {
+        /// The cache file.
+        path: PathBuf,
+        /// What differs.
+        detail: String,
+    },
     /// An experiment digest handed to the memo cache was not the
     /// lowercase-hex shape `Digest::hex` produces, so no cache path can
     /// be derived for it.
@@ -152,6 +160,9 @@ impl fmt::Display for Error {
             }
             Error::CacheCorrupt { path, detail } => {
                 write!(f, "corrupt cache entry {}: {detail}", path.display())
+            }
+            Error::CacheEntryChanged { path, detail } => {
+                write!(f, "cache entry {} changed: {detail}", path.display())
             }
             Error::MalformedDigest { digest } => {
                 write!(
@@ -277,6 +288,7 @@ impl Error {
             Error::Fold(_) => "fold",
             Error::Io { .. } => "io",
             Error::CacheCorrupt { .. } => "cache-corrupt",
+            Error::CacheEntryChanged { .. } => "cache-entry-changed",
             Error::MalformedDigest { .. } => "malformed-digest",
             Error::UnknownExperiment { .. } => "unknown-experiment",
             Error::MissingDependency { .. } => "missing-dependency",

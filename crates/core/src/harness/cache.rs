@@ -22,6 +22,12 @@
 //!
 //! Corrupt entries keep the PR-5 integrity path: they are reported as
 //! [`Error::CacheCorrupt`] and can be quarantined aside for post-mortems.
+//!
+//! Loads and stores also return the entry's [`CacheEntry`] — its byte
+//! length and FNV-1a digest — so a caller that only needs the canonical
+//! bytes later (the serve daemon's artifact endpoint) can keep those two
+//! numbers instead of the decoded artifact and read the bytes back with
+//! [`MemoCache::entry_bytes`], which refuses an entry that changed.
 
 use std::fs;
 use std::io::ErrorKind;
@@ -32,8 +38,28 @@ use std::time::{Duration, Instant, SystemTime};
 use stacksim_faults::Fault;
 
 use super::artifact::Artifact;
+use super::digest::Digest;
 use super::resilience;
 use crate::error::Error;
+
+/// One stored entry's identity: its byte length and the FNV-1a digest of
+/// its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheEntry {
+    /// Entry size in bytes.
+    pub len: u64,
+    /// FNV-1a over the entry's bytes.
+    pub fnv: u64,
+}
+
+impl CacheEntry {
+    fn of(bytes: &[u8]) -> CacheEntry {
+        CacheEntry {
+            len: bytes.len() as u64,
+            fnv: Digest::new().bytes(bytes).finish(),
+        }
+    }
+}
 
 /// A directory of memoized artifacts, or a disabled no-op cache.
 #[derive(Debug, Clone, Default)]
@@ -203,7 +229,18 @@ impl MemoCache {
         Ok(Some(dir.join(format!("{safe}-{digest}.json"))))
     }
 
-    /// Loads a memoized artifact, if one exists.
+    /// Loads a memoized artifact, if one exists. See
+    /// [`MemoCache::load_entry`].
+    ///
+    /// # Errors
+    ///
+    /// As [`MemoCache::load_entry`].
+    pub fn load(&self, name: &str, digest: &str) -> Result<Option<Artifact>, Error> {
+        Ok(self.load_entry(name, digest)?.map(|(artifact, _)| artifact))
+    }
+
+    /// Loads a memoized artifact and its entry's length and digest, if
+    /// one exists.
     ///
     /// A zero-length file is treated as a miss and deleted: it is the
     /// footprint of a crash between `create` and `write` (or of a full
@@ -217,7 +254,11 @@ impl MemoCache {
     ///
     /// [`Error::Io`] on filesystem failure other than "not found";
     /// [`Error::CacheCorrupt`] if the file exists but does not parse.
-    pub fn load(&self, name: &str, digest: &str) -> Result<Option<Artifact>, Error> {
+    pub fn load_entry(
+        &self,
+        name: &str,
+        digest: &str,
+    ) -> Result<Option<(Artifact, CacheEntry)>, Error> {
         let Some(path) = self.path_for(name, digest)? else {
             return Ok(None);
         };
@@ -251,10 +292,57 @@ impl MemoCache {
                         .open(&path)
                         .and_then(|f| f.set_modified(SystemTime::now()));
                 }
-                Ok(Some(a))
+                Ok(Some((a, CacheEntry::of(text.as_bytes()))))
             }
             Err(detail) => Err(Error::CacheCorrupt { path, detail }),
         }
+    }
+
+    /// The bytes of a stored entry, checked against the length and digest
+    /// its load or store returned: a caller gets exactly the bytes it was
+    /// told about, or an error — never other bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CacheEntryChanged`] when the entry is gone (evicted,
+    /// cleaned, quarantined) or no longer holds those bytes, or the cache
+    /// is disabled; [`Error::Io`] on other filesystem failures.
+    pub fn entry_bytes(
+        &self,
+        name: &str,
+        digest: &str,
+        entry: CacheEntry,
+    ) -> Result<String, Error> {
+        let Some(path) = self.path_for(name, digest)? else {
+            return Err(Error::CacheEntryChanged {
+                path: PathBuf::new(),
+                detail: "the memo cache is disabled".to_string(),
+            });
+        };
+        let bytes = match fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                return Err(Error::CacheEntryChanged {
+                    path,
+                    detail: "the entry is gone".to_string(),
+                });
+            }
+            Err(e) => return Err(Error::io(path, e)),
+        };
+        let found = CacheEntry::of(&bytes);
+        if found != entry {
+            return Err(Error::CacheEntryChanged {
+                path,
+                detail: format!(
+                    "{} bytes with digest {:016x}, expected {} bytes with digest {:016x}",
+                    found.len, found.fnv, entry.len, entry.fnv
+                ),
+            });
+        }
+        String::from_utf8(bytes).map_err(|_| Error::CacheEntryChanged {
+            path,
+            detail: "the entry is not UTF-8".to_string(),
+        })
     }
 
     /// Moves a (corrupt) cache entry into the `quarantine/` subdirectory
@@ -294,15 +382,21 @@ impl MemoCache {
     }
 
     /// Stores an artifact, creating the cache directory if needed, then
-    /// enforces the size budget if one is configured.
+    /// enforces the size budget if one is configured. Returns the stored
+    /// entry's length and digest (`None` from a disabled cache).
     ///
     /// # Errors
     ///
     /// [`Error::Io`] on filesystem failure. A disabled cache stores
     /// nothing and succeeds.
-    pub fn store(&self, name: &str, digest: &str, artifact: &Artifact) -> Result<(), Error> {
+    pub fn store(
+        &self,
+        name: &str,
+        digest: &str,
+        artifact: &Artifact,
+    ) -> Result<Option<CacheEntry>, Error> {
         let Some(path) = self.path_for(name, digest)? else {
-            return Ok(());
+            return Ok(None);
         };
         if stacksim_faults::check(resilience::SITE_CACHE_STORE, name) == Some(Fault::IoTransient) {
             return Err(resilience::injected_io(resilience::SITE_CACHE_STORE, name));
@@ -318,7 +412,7 @@ impl MemoCache {
         if self.max_bytes.is_some() {
             self.evict_to_budget()?;
         }
-        Ok(())
+        Ok(Some(CacheEntry::of(encoded.as_bytes())))
     }
 
     /// The cache's current entry footprint in bytes (live entries only —
@@ -592,6 +686,47 @@ mod tests {
         ));
         assert_eq!(c.clean().unwrap(), 2);
         assert!(c.load("fig5:gauss", "0011").unwrap().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Load and store report the same entry identity, `entry_bytes` hands
+    /// back exactly those bytes, and a rewritten or missing entry is a
+    /// typed error rather than other bytes.
+    #[test]
+    fn entry_bytes_are_checked_against_the_stored_identity() {
+        let dir = scratch("entry");
+        let c = MemoCache::at(&dir);
+        let stored = c.store("fig3", "aa", &sample()).unwrap().expect("entry");
+        let (back, loaded) = c.load_entry("fig3", "aa").unwrap().expect("hit");
+        assert_eq!(back, sample());
+        assert_eq!(loaded, stored);
+        assert_eq!(stored.len, sample().encode().len() as u64);
+        assert_eq!(
+            c.entry_bytes("fig3", "aa", stored).unwrap(),
+            sample().encode()
+        );
+
+        let path = c.path_for("fig3", "aa").unwrap().unwrap();
+        fs::write(&path, sample2().encode()).unwrap();
+        assert!(matches!(
+            c.entry_bytes("fig3", "aa", stored),
+            Err(Error::CacheEntryChanged { .. })
+        ));
+        fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            c.entry_bytes("fig3", "aa", stored),
+            Err(Error::CacheEntryChanged { .. })
+        ));
+        assert!(matches!(
+            MemoCache::disabled().entry_bytes("fig3", "aa", stored),
+            Err(Error::CacheEntryChanged { .. })
+        ));
+        assert_eq!(
+            MemoCache::disabled()
+                .store("fig3", "aa", &sample())
+                .unwrap(),
+            None
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -49,7 +49,7 @@ mod session;
 
 pub use artifact::Artifact;
 pub use cache::MemoCacheBuilder;
-pub use cache::{default_cache_dir, MemoCache};
+pub use cache::{default_cache_dir, CacheEntry, MemoCache};
 pub use check::{
     check_experiment, check_registry, digest_audit, fault_model, model_for, obs_audit, obs_model,
     preflight,

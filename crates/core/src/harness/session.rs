@@ -13,14 +13,25 @@
 //!
 //! ```text
 //! submit ──▶ Queued ──▶ Running ──▶ Done
-//!    │          ▲
-//!    └── dedup ─┘   (identical in-flight config: same slot, same handle)
+//!    │ │        ▲                    ▲
+//!    │ └ dedup ─┘                    │  (identical in-flight config: same slot)
+//!    └──────────── memo hit ─────────┘  (cached: done at admission)
 //! ```
 //!
 //! * **submit** resolves the request against the session's base
 //!   parameters, digests it (the digest is the memo-cache key, so
 //!   parameterised variants are first-class), and returns a
 //!   [`RequestHandle`] immediately.
+//! * **memo hit** — before taking the session lock, submit probes the
+//!   memo cache once per distinct step of the request's plan. A hit
+//!   whose dependencies all hit too gets a slot that is `Done` from the
+//!   start with `cached: true`: no worker, no journal record, never in
+//!   the dedup table. A hit with a dependency that missed is queued like
+//!   any slot and published by a worker once its dependencies finish (so
+//!   a failed dependency still fails it), without computing. A corrupt
+//!   entry is quarantined here, and the worker that recomputes the step
+//!   reports it. This probe is the only place the session reads the
+//!   cache; workers only compute and store.
 //! * **dedup** — a request whose `(experiment, digest, faults)` triple
 //!   matches one already queued or running does not enqueue new work: it
 //!   receives a handle to the existing slot (observable via
@@ -35,8 +46,9 @@
 //!   queued once its dependencies finish; a failed slot finishes every
 //!   dependent with `dependency-failed`.
 //! * **Done** — the handle yields a [`RequestOutcome`]: the per-request
-//!   [`ExperimentReport`] (telemetry, cache/attempt accounting) and the
-//!   artifact on success.
+//!   [`ExperimentReport`] (telemetry, cache/attempt accounting), the
+//!   artifact on success, and the memo entry's [`CacheEntry`] when the
+//!   cache holds it.
 //!
 //! Dropping the `Sim` (or calling [`Sim::shutdown`]) drains: everything
 //! already submitted still runs to completion before the workers exit.
@@ -52,7 +64,7 @@ use stacksim_thermal::SolveError;
 use stacksim_workloads::{Scale, WorkloadParams};
 
 use super::artifact::Artifact;
-use super::cache::MemoCache;
+use super::cache::{CacheEntry, MemoCache};
 use super::experiment::{Ctx, Experiment};
 use super::json::Json;
 use super::registry::Registry;
@@ -275,6 +287,10 @@ pub struct RequestOutcome {
     pub report: ExperimentReport,
     /// The artifact, on success.
     pub artifact: Option<Arc<Artifact>>,
+    /// The memo entry holding the artifact's canonical bytes: its length
+    /// and FNV-1a digest, from the load or store (`None` on failure or
+    /// with a disabled cache).
+    pub entry: Option<CacheEntry>,
 }
 
 impl RequestOutcome {
@@ -296,6 +312,16 @@ struct Slot {
     deadline_ms: Option<u64>,
     /// The slots whose artifacts this one reads; all finish before it runs.
     deps: Vec<Arc<Slot>>,
+    /// A memo hit the admission probe loaded for a slot that still waits
+    /// for its dependencies: the worker publishes it instead of
+    /// computing.
+    hit: Option<Loaded>,
+    /// Whether the admission probe quarantined a corrupt entry for this
+    /// slot (reported by the worker that recomputes it).
+    quarantined: bool,
+    /// A failed admission probe, reported by the worker's first attempt
+    /// so the resilience policy decides whether to retry.
+    probe_error: Mutex<Option<Error>>,
     status: Mutex<SlotState>,
     done: Condvar,
 }
@@ -328,6 +354,30 @@ enum SlotState {
 }
 
 impl Slot {
+    /// A slot for `step` of `request`, with no dependencies.
+    fn new(
+        id: u64,
+        step: &Step,
+        params: WorkloadParams,
+        request: &ExperimentRequest,
+        status: SlotState,
+    ) -> Slot {
+        Slot {
+            id,
+            name: step.exp.name().to_string(),
+            digest: step.digest.clone(),
+            params,
+            faults: request.faults,
+            deadline_ms: request.deadline_ms,
+            deps: Vec::new(),
+            hit: None,
+            quarantined: false,
+            probe_error: Mutex::new(None),
+            status: Mutex::new(status),
+            done: Condvar::new(),
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, SlotState> {
         self.status
             .lock()
@@ -344,6 +394,13 @@ impl Slot {
             SlotState::Done(outcome, _) => outcome.artifact.clone(),
             _ => None,
         }
+    }
+
+    fn take_probe_error(&self) -> Option<Error> {
+        self.probe_error
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take()
     }
 }
 
@@ -475,6 +532,52 @@ struct Step {
 /// A task a worker can run: the slot and the experiment it names.
 type Task = (Arc<Slot>, Arc<dyn Experiment>);
 
+/// A memo hit as the admission probe loaded it.
+#[derive(Debug, Clone)]
+struct Loaded {
+    artifact: Arc<Artifact>,
+    entry: CacheEntry,
+    /// The load's wall time, reported as the hit's.
+    wall_s: f64,
+}
+
+impl Loaded {
+    /// The report row of this hit.
+    fn report(&self, name: &str, digest: &str) -> ExperimentReport {
+        let mut report = ExperimentReport::blank(name, digest.to_string());
+        report.cached = true;
+        report.attempts = 1;
+        report.wall_s = self.wall_s;
+        report
+    }
+}
+
+/// What the admission probe found for one planned step.
+enum Probe {
+    /// A hit whose dependencies all hit too: a slot done from the start.
+    Done(Arc<Slot>),
+    /// A hit with a dependency that missed: it waits for them, then a
+    /// worker publishes it.
+    Hit(Loaded),
+    /// A miss: the step needs a worker. `quarantined` when a corrupt
+    /// entry was moved aside; `error` when the probe itself failed.
+    Miss {
+        quarantined: bool,
+        error: Option<Error>,
+    },
+}
+
+/// A probe's key: step name, digest and fault opt-in.
+type ProbeKey = (String, String, bool);
+
+/// The probes of one submission: each distinct step is probed once
+/// however many requests plan it.
+type Probes = HashMap<ProbeKey, Probe>;
+
+/// A worker's successful slot: the artifact and the memo entry holding
+/// it.
+type Computed = (Arc<Artifact>, Option<CacheEntry>);
+
 /// An unfinished slot's place in the executor's dependency graph.
 struct Node {
     slot: Arc<Slot>,
@@ -502,7 +605,6 @@ struct SchedState {
     running: usize,
     paused: bool,
     shutdown: bool,
-    next_id: u64,
 }
 
 struct Inner {
@@ -531,6 +633,8 @@ struct Inner {
     work: Condvar,
     /// Wakes `wait_idle` when a slot finishes.
     idle: Condvar,
+    /// The next slot id; admission hits draw theirs outside the lock.
+    next_id: AtomicU64,
     submitted: AtomicU64,
     dedup_hits: AtomicU64,
     completed: AtomicU64,
@@ -600,14 +704,93 @@ impl Inner {
         Ok(steps.len() - 1)
     }
 
-    /// Dedups or admits one planned request under the session lock.
-    /// `Ok((slot, true))` means new work for the journal.
+    /// Probes the memo cache for every step of one planned request,
+    /// dependencies first, recording each distinct step once in `probes`.
+    fn probe_plan(
+        &self,
+        request: &ExperimentRequest,
+        params: WorkloadParams,
+        steps: &[Step],
+        probes: &mut Probes,
+    ) {
+        for step in steps {
+            let key = probe_key(step, request);
+            if probes.contains_key(&key) {
+                continue;
+            }
+            let mut probe = self.probe(request, step);
+            if let Probe::Hit(loaded) = &probe {
+                let inputs_done = step.deps.iter().all(|&d| {
+                    let dep = steps.get(d).map(|dep| probe_key(dep, request));
+                    matches!(dep.and_then(|k| probes.get(&k)), Some(Probe::Done(_)))
+                });
+                if inputs_done {
+                    probe = Probe::Done(self.done_slot(request, params, step, loaded));
+                }
+            }
+            probes.insert(key, probe);
+        }
+    }
+
+    /// Probes the memo cache for one step, under the request's fault
+    /// scope when it opted in. A corrupt entry is quarantined.
+    fn probe(&self, request: &ExperimentRequest, step: &Step) -> Probe {
+        let (name, digest) = (step.exp.name(), &step.digest);
+        let start = Instant::now();
+        let faults = self.faults.as_ref().filter(|_| request.faults);
+        let miss = |quarantined, error| Probe::Miss { quarantined, error };
+        match stacksim_faults::scope(faults, || self.cache.load_entry(name, digest)) {
+            Ok(Some((artifact, entry))) => Probe::Hit(Loaded {
+                artifact: Arc::new(artifact),
+                entry,
+                wall_s: start.elapsed().as_secs_f64(),
+            }),
+            Ok(None) => miss(false, None),
+            // move the poisoned entry aside and recompute: the run heals
+            // the cache instead of failing on it
+            Err(Error::CacheCorrupt { .. }) if self.resilience.quarantine => {
+                match self.cache.quarantine(name, digest) {
+                    Ok(_) => miss(true, None),
+                    Err(e) => miss(false, Some(e)),
+                }
+            }
+            Err(e) => miss(false, Some(e)),
+        }
+    }
+
+    /// The finished slot of a hit answered at admission, counted and
+    /// traced as a worker's run is.
+    fn done_slot(
+        &self,
+        request: &ExperimentRequest,
+        params: WorkloadParams,
+        step: &Step,
+        loaded: &Loaded,
+    ) -> Arc<Slot> {
+        let report = loaded.report(step.exp.name(), &step.digest);
+        let mut span = stacksim_obs::span(super::obs::EVENT_EXPERIMENT);
+        span.field("experiment", report.name.clone());
+        observe(&mut span, &report, true);
+        let outcome = RequestOutcome {
+            report,
+            artifact: Some(loaded.artifact.clone()),
+            entry: Some(loaded.entry),
+        };
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let done = SlotState::Done(Arc::new(outcome), None);
+        Arc::new(Slot::new(id, step, params, request, done))
+    }
+
+    /// Dedups or admits one planned and probed request under the session
+    /// lock. `Ok((slot, true))` means new work for the journal; a memo
+    /// hit is answered with its finished slot.
     fn admit(
         &self,
         st: &mut SchedState,
         request: &ExperimentRequest,
         params: WorkloadParams,
         steps: &[Step],
+        probes: &mut Probes,
     ) -> Result<(Arc<Slot>, bool), Error> {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         if stacksim_obs::enabled() {
@@ -622,6 +805,10 @@ impl Inner {
             detail: format!("request '{}' planned no work", request.name),
         };
         let root = steps.last().ok_or_else(no_work)?;
+        if let Some(Probe::Done(slot)) = probes.get(&probe_key(root, request)) {
+            self.completed.fetch_add(1, Ordering::Relaxed);
+            return Ok((slot.clone(), false));
+        }
         let key = (
             request.name.clone(),
             root.digest.clone(),
@@ -654,7 +841,9 @@ impl Inner {
         // a slot only a dependent asked for so far becomes a request too
         let slot = match existing {
             Some(slot) => slot,
-            None => Self::enqueue(st, request, params, steps).ok_or_else(no_work)?,
+            None => self
+                .enqueue(st, request, params, steps, probes)
+                .ok_or_else(no_work)?,
         };
         if let Some(node) = st.nodes.get_mut(&slot.id) {
             node.requested = true;
@@ -663,16 +852,24 @@ impl Inner {
         Ok((slot, true))
     }
 
-    /// Creates the slots of `steps` not in flight yet, each wired to its
-    /// dependencies, and returns the request's own (last) slot.
+    /// Creates the slots of `steps` that are neither answered at
+    /// admission nor in flight yet, each wired to its dependencies, and
+    /// returns the request's own (last) slot.
     fn enqueue(
+        &self,
         st: &mut SchedState,
         request: &ExperimentRequest,
         params: WorkloadParams,
         steps: &[Step],
+        probes: &mut Probes,
     ) -> Option<Arc<Slot>> {
         let mut slots: Vec<Arc<Slot>> = Vec::with_capacity(steps.len());
         for step in steps {
+            let probe = probes.get_mut(&probe_key(step, request));
+            if let Some(Probe::Done(slot)) = &probe {
+                slots.push(slot.clone());
+                continue;
+            }
             let key = (
                 step.exp.name().to_string(),
                 step.digest.clone(),
@@ -683,22 +880,23 @@ impl Inner {
                 slots.push(slot.clone());
                 continue;
             }
+            let (hit, quarantined, error) = match probe {
+                Some(Probe::Hit(loaded)) => (Some(loaded.clone()), false, None),
+                Some(Probe::Miss { quarantined, error }) => (None, *quarantined, error.take()),
+                _ => (None, false, None),
+            };
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             let slot = Arc::new(Slot {
-                id: st.next_id,
-                name: key.0.clone(),
-                digest: step.digest.clone(),
-                params,
-                faults: request.faults,
-                deadline_ms: request.deadline_ms,
                 deps: step
                     .deps
                     .iter()
                     .filter_map(|&i| slots.get(i).cloned())
                     .collect(),
-                status: Mutex::new(SlotState::Queued),
-                done: Condvar::new(),
+                hit,
+                quarantined,
+                probe_error: Mutex::new(error),
+                ..Slot::new(id, step, params, request, SlotState::Queued)
             });
-            st.next_id += 1;
             let mut waiting = 0;
             for dep in &slot.deps {
                 if let Some(node) = st.nodes.get_mut(&dep.id) {
@@ -744,25 +942,30 @@ impl Inner {
         }
     }
 
-    /// Runs one slot under the resilience policy: cache probe, then the
-    /// real run on a miss, with retries, quarantine and the solver
+    /// Runs one slot under the resilience policy: retries and the solver
     /// degradation ladder wrapped around every attempt. The slot's own
     /// parameters and deadline apply, and its dependencies' artifacts are
-    /// handed in.
+    /// handed in. A hit loaded at admission is published as it is.
     fn execute(
         &self,
         slot: &Slot,
         exp: &dyn Experiment,
-    ) -> (ExperimentReport, Result<Artifact, Error>) {
+    ) -> (ExperimentReport, Result<Computed, Error>) {
+        let mut span = stacksim_obs::span(super::obs::EVENT_EXPERIMENT);
+        span.field("experiment", slot.name.clone());
+        if let Some(loaded) = &slot.hit {
+            let report = loaded.report(&slot.name, &slot.digest);
+            observe(&mut span, &report, true);
+            return (report, Ok((loaded.artifact.clone(), Some(loaded.entry))));
+        }
         let deps = slot
             .deps
             .iter()
             .filter_map(|d| d.artifact().map(|a| (d.name.clone(), a)))
             .collect();
         let start = Instant::now();
-        let mut span = stacksim_obs::span(super::obs::EVENT_EXPERIMENT);
-        span.field("experiment", slot.name.clone());
         let mut report = ExperimentReport::blank(&slot.name, slot.digest.clone());
+        report.quarantined = slot.quarantined;
 
         let result = self.execute_attempts(slot, exp, &deps, &mut report, start);
 
@@ -771,23 +974,7 @@ impl Inner {
             report.error = Some(e.to_string());
             report.error_kind = Some(e.kind().to_string());
         }
-        if stacksim_obs::enabled() {
-            let wall_us = (report.wall_s * 1e6) as u64;
-            stacksim_obs::counter(super::obs::EXPERIMENTS).add(1);
-            stacksim_obs::counter(if report.cached {
-                super::obs::CACHE_HITS
-            } else {
-                super::obs::CACHE_MISSES
-            })
-            .add(1);
-            if result.is_err() {
-                stacksim_obs::counter(super::obs::FAILURES).add(1);
-            }
-            stacksim_obs::histogram(super::obs::EXPERIMENT_WALL_US).record(wall_us);
-            span.field("cached", report.cached);
-            span.field("ok", result.is_ok());
-            span.field("wall_us", wall_us);
-        }
+        observe(&mut span, &report, result.is_ok());
         drop(span);
         (report, result)
     }
@@ -803,7 +990,7 @@ impl Inner {
         deps: &HashMap<String, Arc<Artifact>>,
         report: &mut ExperimentReport,
         start: Instant,
-    ) -> Result<Artifact, Error> {
+    ) -> Result<Computed, Error> {
         let policy = &self.resilience;
         // when the session policy already carries a deadline, the
         // tighter one wins
@@ -817,7 +1004,7 @@ impl Inner {
         let mut backoff = Duration::from_millis(policy.backoff_ms);
         loop {
             match self.attempt_once(slot, exp, deps, report, degrade) {
-                Ok(artifact) => {
+                Ok(computed) => {
                     if let Some(limit) = policy.max_cg_iters {
                         let used = report.telemetry.solver.iterations as u64;
                         if used > limit as u64 {
@@ -832,7 +1019,7 @@ impl Inner {
                     if degrade != SolverDegrade::AsConfigured {
                         report.fallback = Some(degrade.label().to_string());
                     }
-                    return Ok(artifact);
+                    return Ok(computed);
                 }
                 Err(e) => {
                     // the deadline bounds recovery, not first failure: a
@@ -870,8 +1057,9 @@ impl Inner {
         }
     }
 
-    /// One attempt: cache probe (with quarantine on corruption), then
-    /// preflight and the run itself under `catch_unwind`.
+    /// One attempt: preflight, then the run itself under `catch_unwind`,
+    /// then the store. The first attempt of a slot whose admission probe
+    /// failed reports that failure instead.
     fn attempt_once(
         &self,
         slot: &Slot,
@@ -879,22 +1067,11 @@ impl Inner {
         deps: &HashMap<String, Arc<Artifact>>,
         report: &mut ExperimentReport,
         degrade: SolverDegrade,
-    ) -> Result<Artifact, Error> {
+    ) -> Result<Computed, Error> {
         let (name, digest) = (&slot.name, &slot.digest);
         report.attempts += 1;
-        match self.cache.load(name, digest) {
-            Ok(Some(artifact)) => {
-                report.cached = true;
-                return Ok(artifact);
-            }
-            Ok(None) => {}
-            Err(Error::CacheCorrupt { .. }) if self.resilience.quarantine => {
-                // move the poisoned entry aside and recompute in place —
-                // the run heals the cache instead of failing on it
-                self.cache.quarantine(name, digest)?;
-                report.quarantined = true;
-            }
-            Err(e) => return Err(e),
+        if let Some(error) = slot.take_probe_error() {
+            return Err(error);
         }
         if self.preflight {
             super::check::preflight(name, &slot.params)?;
@@ -908,8 +1085,8 @@ impl Inner {
         match run {
             Ok(Ok((artifact, telemetry))) => {
                 report.telemetry = telemetry;
-                self.cache.store(name, digest, &artifact)?;
-                Ok(artifact)
+                let entry = self.cache.store(name, digest, &artifact)?;
+                Ok((Arc::new(artifact), entry))
             }
             Ok(Err(e)) => Err(e),
             Err(_) => Err(Error::WorkerPanic {
@@ -923,7 +1100,7 @@ impl Inner {
     /// so a later identical submission is new work; then each is
     /// journaled and woken; then a success queues the dependents it was
     /// the last wait of.
-    fn complete(&self, slot: &Slot, report: ExperimentReport, result: Result<Artifact, Error>) {
+    fn complete(&self, slot: &Slot, report: ExperimentReport, result: Result<Computed, Error>) {
         let mut st = self.lock();
         let node = self.sweep(&mut st, slot.id);
         let requested = node.as_ref().is_some_and(|n| n.requested);
@@ -942,11 +1119,16 @@ impl Inner {
         drop(st);
 
         let ok = result.is_ok();
-        let (artifact, error) = match result {
-            Ok(artifact) => (Some(Arc::new(artifact)), None),
-            Err(error) => (None, Some(error)),
+        let (artifact, entry, error) = match result {
+            Ok((artifact, entry)) => (Some(artifact), entry, None),
+            Err(error) => (None, None, Some(error)),
         };
-        self.publish(slot, requested, RequestOutcome { report, artifact }, error);
+        let outcome = RequestOutcome {
+            report,
+            artifact,
+            entry,
+        };
+        self.publish(slot, requested, outcome, error);
         for (dependent, requested) in doomed {
             let skip = Error::DependencyFailed {
                 experiment: dependent.name.clone(),
@@ -961,6 +1143,7 @@ impl Inner {
             let outcome = RequestOutcome {
                 report,
                 artifact: None,
+                entry: None,
             };
             self.publish(&dependent, requested, outcome, None);
         }
@@ -1015,6 +1198,38 @@ impl Inner {
         }
         slot.finish(outcome, error);
     }
+}
+
+fn probe_key(step: &Step, request: &ExperimentRequest) -> ProbeKey {
+    (
+        step.exp.name().to_string(),
+        step.digest.clone(),
+        request.faults,
+    )
+}
+
+/// Counts one finished experiment in the metrics registry and closes its
+/// `harness.experiment` span's fields, alike for a worker's run and an
+/// admission hit.
+fn observe(span: &mut stacksim_obs::Span, report: &ExperimentReport, ok: bool) {
+    if !stacksim_obs::enabled() {
+        return;
+    }
+    let wall_us = (report.wall_s * 1e6) as u64;
+    stacksim_obs::counter(super::obs::EXPERIMENTS).add(1);
+    stacksim_obs::counter(if report.cached {
+        super::obs::CACHE_HITS
+    } else {
+        super::obs::CACHE_MISSES
+    })
+    .add(1);
+    if !ok {
+        stacksim_obs::counter(super::obs::FAILURES).add(1);
+    }
+    stacksim_obs::histogram(super::obs::EXPERIMENT_WALL_US).record(wall_us);
+    span.field("cached", report.cached);
+    span.field("ok", ok);
+    span.field("wall_us", wall_us);
 }
 
 /// An executor worker: runs ready tasks until a shutdown has drained the
@@ -1133,7 +1348,8 @@ impl SimBuilder {
     /// Bound the admission queue: a submission that would push the
     /// queued+running request count past `max_pending` is shed with
     /// [`Error::Overloaded`] (and counted in `serve.shed`) instead of
-    /// enqueued. Dedup hits are always admitted — they add no work.
+    /// enqueued. Dedup hits and memo hits are always admitted — they add
+    /// no work.
     /// `None` (the default) admits everything.
     #[must_use]
     pub fn max_pending(mut self, max_pending: impl Into<Option<usize>>) -> Self {
@@ -1184,10 +1400,10 @@ impl SimBuilder {
                 running: 0,
                 paused: self.start_paused,
                 shutdown: false,
-                next_id: 0,
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
+            next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -1265,7 +1481,8 @@ impl Sim {
     /// A request identical to one already queued or running (same
     /// experiment, same digest, same fault opt-in) is *deduplicated*: the
     /// returned handle shares the existing slot and id, and the
-    /// experiment runs once.
+    /// experiment runs once. A request the memo cache already holds is
+    /// answered here: its handle is `Done` (`cached: true`) on return.
     ///
     /// # Errors
     ///
@@ -1285,8 +1502,9 @@ impl Sim {
 
     /// Submits several requests under one hold of the session lock, so
     /// no worker can finish one before the next is deduplicated against
-    /// it. Every request is planned before any is enqueued; an admission
-    /// refusal stops at that request, with the ones before it submitted.
+    /// it. Every request is planned and probed before any is enqueued; an
+    /// admission refusal stops at that request, with the ones before it
+    /// submitted.
     pub(super) fn submit_all(
         &self,
         requests: &[ExperimentRequest],
@@ -1295,12 +1513,20 @@ impl Sim {
             .iter()
             .map(|r| self.inner.plan(r))
             .collect::<Result<Vec<_>, _>>()?;
+        // the memo probe reads the disk, so it runs before the lock
+        let mut probes = Probes::new();
+        for (request, (params, steps)) in requests.iter().zip(&plans) {
+            self.inner.probe_plan(request, *params, steps, &mut probes);
+        }
         let mut st = self.inner.lock();
         let mut handles = Vec::with_capacity(requests.len());
         let mut accepted = Vec::new();
         let mut refused = None;
         for (request, (params, steps)) in requests.iter().zip(&plans) {
-            match self.inner.admit(&mut st, request, *params, steps) {
+            match self
+                .inner
+                .admit(&mut st, request, *params, steps, &mut probes)
+            {
                 Ok((slot, fresh)) => {
                     if fresh {
                         accepted.push((slot.id, request));

@@ -1,14 +1,18 @@
 //! Interleaving model of the session executor's dedup-slot state machine.
 //!
-//! In `stacksim_core::harness::session`, `submit()` holds the session
-//! mutex while it checks the in-flight table and, on a miss, creates a
-//! slot and queues it ready — check and insert are one critical section.
-//! Executor workers pop ready slots under the same mutex, run them, and
-//! complete each one in two steps: first *sweep* it out of the in-flight
-//! table under the lock, then *publish* its outcome, waking the waiters.
+//! In `stacksim_core::harness::session`, `submit()` first probes the
+//! memo cache without the lock; a hit takes a slot that is `Done` from
+//! the start and never enters the in-flight table. On a miss it holds the
+//! session mutex while it checks the in-flight table and, on a miss
+//! there too, creates a slot and queues it ready — check and insert are
+//! one critical section. Executor workers pop ready slots under the same
+//! mutex, run them (storing the result in the memo cache), and complete
+//! each one in two steps: first *sweep* it out of the in-flight table
+//! under the lock, then *publish* its outcome, waking the waiters.
 //! [`DedupModel`] models that machine with two submitters racing on the
 //! same digest plus two workers, and checks that a digest is never in
-//! flight twice, that every slot executes exactly once, that no
+//! flight twice, that every queued slot executes exactly once, that an
+//! admission hit is never executed nor deduplicated onto, that no
 //! submission attaches to an already finished slot, and that every
 //! waiter resolves.
 //!
@@ -30,9 +34,13 @@ enum SlotState {
     Done,
 }
 
-/// A submitter thread: look up or create the slot, then wait on it.
+/// A submitter thread: probe the memo cache, else look up or create the
+/// slot, then wait on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SubmitterPc {
+    /// The memo probe, outside the lock: a hit takes a slot that is done
+    /// from the start.
+    Probe,
     /// Atomic mode: check the in-flight table and insert in one step.
     /// Split mode: just the check, remembering the miss.
     Lookup,
@@ -75,6 +83,10 @@ pub struct DedupState {
     ready: Vec<usize>,
     /// Times each slot's experiment ran.
     executions: Vec<u8>,
+    /// Whether each slot was an admission hit, done from the start.
+    admitted: Vec<bool>,
+    /// Whether the memo cache holds the digest (a worker stored it).
+    cached: bool,
     /// A submission attached to a slot that had already finished.
     stale_hit: bool,
     submitters: [Submitter; 2],
@@ -111,9 +123,11 @@ impl Model for DedupModel {
             swept: Vec::new(),
             ready: Vec::new(),
             executions: Vec::new(),
+            admitted: Vec::new(),
+            cached: false,
             stale_hit: false,
             submitters: [Submitter {
-                pc: SubmitterPc::Lookup,
+                pc: SubmitterPc::Probe,
                 slot: None,
             }; 2],
             workers: [WorkerPc::Pop; 2],
@@ -126,10 +140,28 @@ impl Model for DedupModel {
         }
         let sub = st.submitters[tid];
         match sub.pc {
+            SubmitterPc::Probe => {
+                st.submitters[tid] = if st.cached {
+                    // Memo hit: a finished slot no worker or table sees.
+                    let slot = new_slot(st, SlotState::Done);
+                    st.admitted[slot] = true;
+                    st.swept[slot] = true;
+                    Submitter {
+                        pc: SubmitterPc::Wait,
+                        slot: Some(slot),
+                    }
+                } else {
+                    Submitter {
+                        pc: SubmitterPc::Lookup,
+                        slot: None,
+                    }
+                };
+                Step::Ran
+            }
             SubmitterPc::Lookup => {
                 if let Some(slot) = st.inflight {
                     // Dedup hit: attach to the in-flight slot.
-                    if st.slots[slot] == SlotState::Done {
+                    if st.slots[slot] == SlotState::Done || st.admitted[slot] {
                         st.stale_hit = true;
                     }
                     st.submitters[tid] = Submitter {
@@ -184,6 +216,14 @@ impl Model for DedupModel {
         if let Some(n) = st.executions.iter().find(|n| **n > 1) {
             return Err(format!("one slot ran {n} times: duplicate execution"));
         }
+        for (slot, admitted) in st.admitted.iter().enumerate() {
+            if *admitted && (st.executions[slot] > 0 || st.ready.contains(&slot)) {
+                return Err("an admission hit was queued or executed".to_string());
+            }
+            if *admitted && st.inflight == Some(slot) {
+                return Err("an admission hit entered the in-flight table".to_string());
+            }
+        }
         if st.stale_hit {
             return Err("a submission deduplicated onto a finished slot".to_string());
         }
@@ -191,8 +231,9 @@ impl Model for DedupModel {
     }
 
     fn on_final(&self, st: &Self::State) -> Result<(), String> {
-        for (i, (state, runs)) in st.slots.iter().zip(&st.executions).enumerate() {
-            if *state != SlotState::Done || *runs != 1 {
+        let slots = st.slots.iter().zip(&st.executions).zip(&st.admitted);
+        for (i, ((state, runs), admitted)) in slots.enumerate() {
+            if *state != SlotState::Done || *runs != u8::from(!admitted) {
                 return Err(format!(
                     "slot {i} ended {state:?} after {runs} execution(s)"
                 ));
@@ -230,7 +271,9 @@ impl DedupModel {
                 }
             }
             WorkerPc::Run(slot) => {
+                // the run ends with the memo-cache store
                 st.executions[slot] += 1;
+                st.cached = true;
                 st.slots[slot] = SlotState::Ran;
                 st.workers[w] = if self.sweep_first {
                     WorkerPc::Sweep(slot)
@@ -265,12 +308,19 @@ impl DedupModel {
     }
 }
 
-/// `submit()` miss path: new slot, queued ready and registered in-flight.
-fn create_slot(st: &mut DedupState) -> usize {
+/// A new slot in `state`, in no table yet.
+fn new_slot(st: &mut DedupState, state: SlotState) -> usize {
     let slot = st.slots.len();
-    st.slots.push(SlotState::Queued);
+    st.slots.push(state);
     st.swept.push(false);
     st.executions.push(0);
+    st.admitted.push(false);
+    slot
+}
+
+/// `submit()` miss path: new slot, queued ready and registered in-flight.
+fn create_slot(st: &mut DedupState) -> usize {
+    let slot = new_slot(st, SlotState::Queued);
     st.ready.push(slot);
     st.inflight = Some(slot);
     slot
@@ -289,6 +339,45 @@ mod tests {
         })
         .expect("clean");
         assert!(stats.terminals >= 1);
+    }
+
+    /// A witness that the explored schedules include an admission hit:
+    /// the model above would pass vacuously if no submitter ever probed
+    /// after a worker's store.
+    #[test]
+    fn some_schedule_answers_a_submission_at_admission() {
+        struct Witness(DedupModel);
+        impl Model for Witness {
+            type State = DedupState;
+            fn name(&self) -> &'static str {
+                "admission-hit witness"
+            }
+            fn threads(&self) -> usize {
+                self.0.threads()
+            }
+            fn init(&self) -> DedupState {
+                self.0.init()
+            }
+            fn step(&self, st: &mut DedupState, tid: usize) -> Step {
+                self.0.step(st, tid)
+            }
+            fn invariant(&self, st: &DedupState) -> Result<(), String> {
+                self.0.invariant(st)
+            }
+            fn on_final(&self, st: &DedupState) -> Result<(), String> {
+                self.0.on_final(st)?;
+                match st.admitted.iter().any(|a| *a) {
+                    true => Err("witness: an admission hit was reached".to_string()),
+                    false => Ok(()),
+                }
+            }
+        }
+        let err = explore(&Witness(DedupModel {
+            atomic_submit: true,
+            sweep_first: true,
+        }))
+        .unwrap_err();
+        assert!(err.contains("witness: an admission hit"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | `GET /metrics` | the `stacksim-obs/1` metrics snapshot |
 //! | `POST /v1/experiments` | submit; body `{"experiment":"fig3", ...}` |
 //! | `GET /v1/experiments/<id>` | status + report; `?wait=1` long-polls (bounded; `202` on timeout) |
-//! | `GET /v1/experiments/<id>/artifact` | the artifact's canonical JSON, verbatim |
+//! | `GET /v1/experiments/<id>/artifact` | the artifact's canonical JSON, verbatim, from the memo entry |
 //! | `POST /v1/explore` | synchronous design-space search; returns the frontier artifact |
 //!
 //! Submission bodies accept the same parameter overrides as
@@ -25,7 +25,24 @@
 //! into the server's armed fault plan), and `deadline_ms` (a
 //! per-request execution deadline, tightened against the server's
 //! resilience policy). Identical in-flight submissions deduplicate onto
-//! one execution and return the same `id`.
+//! one execution and return the same `id`. A submission the memo cache
+//! already holds is answered at admission: its `POST` response says
+//! `"status":"done"`.
+//!
+//! ## Finished requests
+//!
+//! Once a request is done the daemon keeps only its id, name, digest,
+//! report, and the memo entry's length and FNV-1a digest; the session
+//! handle and the decoded artifact it pins are dropped. The artifact
+//! endpoint sends the entry's bytes after checking that length and
+//! digest, so the bytes are exactly those the cache stored; an entry
+//! that is gone or changed since gets `410` with a typed error
+//! (`"kind":"cache-entry-changed"`), never other bytes. A `--no-cache`
+//! daemon has no entries, so it keeps the decoded artifact and encodes
+//! it per request. The daemon keeps the last [`RETAINED_FINISHED`]
+//! finished requests; a status or artifact `GET` for an older one gets
+//! `410` with `"kind":"evicted"`, and an id the daemon never handed
+//! out gets `404` with `"kind":"unknown-id"`.
 //!
 //! ## Overload protection and crash recovery
 //!
@@ -59,7 +76,7 @@
 
 pub mod http;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -70,14 +87,14 @@ use std::time::{Duration, Instant};
 use stacksim_core::harness::json::Json;
 use stacksim_core::harness::resilience::SITE_SERVE_ACCEPT;
 use stacksim_core::harness::{
-    obs as harness_obs, ExperimentRequest, MemoCache, RequestHandle, RequestJournal, RequestStatus,
-    Resilience, Sim,
+    obs as harness_obs, Artifact, CacheEntry, ExperimentReport, ExperimentRequest, MemoCache,
+    RequestHandle, RequestJournal, RequestOutcome, RequestStatus, Resilience, Sim,
 };
 use stacksim_explore::{ExploreConfig, ExploreError, SearchMode, SpaceSpec};
 use stacksim_faults::{Fault, FaultPlan};
 use stacksim_workloads::WorkloadParams;
 
-use http::{error_response, read_request, reject, respond, Request};
+use http::{error_response, read_request, reject, respond, typed_error, Request};
 
 /// Longest bounded long-poll `GET /v1/experiments/<id>?wait=1` honours.
 const MAX_WAIT_MS: u64 = 30_000;
@@ -136,9 +153,151 @@ impl Default for ServeOptions {
     }
 }
 
-/// Requests the daemon has accepted, by id, shared across connection
-/// threads. A `BTreeMap` keeps iteration order deterministic.
-type RequestMap = Arc<Mutex<BTreeMap<u64, RequestHandle>>>;
+/// Finished requests the daemon keeps; beyond this many the lowest ids
+/// are evicted.
+pub const RETAINED_FINISHED: usize = 1024;
+
+/// Where a finished request's artifact bytes come from.
+#[derive(Debug)]
+enum ArtifactSource {
+    /// The memo entry with this length and digest, read back and checked
+    /// per `GET`.
+    Entry(CacheEntry),
+    /// No memo entry (a `--no-cache` daemon): the artifact, encoded per
+    /// `GET`.
+    Decoded(Arc<Artifact>),
+    /// The request failed with this detail.
+    Failed(String),
+}
+
+/// What the daemon keeps of a finished request. It pins no session
+/// slot, so neither the decoded artifact nor its dependencies' outlive
+/// the request.
+#[derive(Debug)]
+struct Finished {
+    name: String,
+    digest: String,
+    report: ExperimentReport,
+    artifact: ArtifactSource,
+}
+
+impl Finished {
+    fn new(handle: &RequestHandle, outcome: &RequestOutcome) -> Finished {
+        let artifact = match (&outcome.artifact, outcome.entry) {
+            (Some(_), Some(entry)) => ArtifactSource::Entry(entry),
+            (Some(artifact), None) => ArtifactSource::Decoded(artifact.clone()),
+            (None, _) => ArtifactSource::Failed(
+                outcome
+                    .report
+                    .error
+                    .clone()
+                    .unwrap_or_else(|| "request failed".to_string()),
+            ),
+        };
+        Finished {
+            name: handle.name().to_string(),
+            digest: handle.digest().to_string(),
+            report: outcome.report.clone(),
+            artifact,
+        }
+    }
+}
+
+/// One accepted request as the daemon holds it.
+#[derive(Debug, Clone)]
+enum Record {
+    /// Queued or running: the session handle.
+    Live(RequestHandle),
+    /// Finished.
+    Done(Arc<Finished>),
+}
+
+impl Record {
+    /// The finished form, or the handle of a request still running.
+    fn finished(&self) -> Result<Arc<Finished>, &RequestHandle> {
+        match self {
+            Record::Done(finished) => Ok(finished.clone()),
+            Record::Live(handle) => handle
+                .try_outcome()
+                .map(|outcome| Arc::new(Finished::new(handle, &outcome)))
+                .ok_or(handle),
+        }
+    }
+}
+
+/// The requests the daemon has accepted, by id. Records of finished
+/// requests are kept up to [`RETAINED_FINISHED`], lowest id first out.
+#[derive(Debug, Default)]
+struct Requests {
+    records: BTreeMap<u64, Record>,
+    /// Ids of the [`Record::Live`] records.
+    live: BTreeSet<u64>,
+    /// Ids of the [`Record::Done`] records.
+    finished: BTreeSet<u64>,
+    /// The highest id evicted so far.
+    evicted_through: Option<u64>,
+}
+
+/// Why an id has no record.
+enum Missing {
+    /// The request finished and its record was evicted (or the id, below
+    /// the eviction watermark, was never handed out).
+    Evicted(u64),
+    /// Not an id this daemon handed out.
+    Unknown,
+}
+
+impl Requests {
+    /// Records a handle the session returned; a deduplicated submission
+    /// finds its slot's record already there.
+    fn insert(&mut self, handle: RequestHandle) {
+        let id = handle.id();
+        if !self.records.contains_key(&id) {
+            self.live.insert(id);
+            self.records.insert(id, Record::Live(handle));
+        }
+        self.settle();
+    }
+
+    fn get(&mut self, id: u64) -> Result<Record, Missing> {
+        self.settle();
+        match self.records.get(&id) {
+            Some(record) => Ok(record.clone()),
+            None if self.evicted_through.is_some_and(|through| id <= through) => {
+                Err(Missing::Evicted(id))
+            }
+            None => Err(Missing::Unknown),
+        }
+    }
+
+    /// Turns every finished live record into its [`Finished`] form,
+    /// dropping the handle, then evicts down to the retention bound.
+    fn settle(&mut self) {
+        let done: Vec<(u64, Arc<Finished>)> = self
+            .live
+            .iter()
+            .filter_map(|id| {
+                let finished = self.records.get(id)?.finished().ok()?;
+                Some((*id, finished))
+            })
+            .collect();
+        for (id, finished) in done {
+            self.live.remove(&id);
+            self.finished.insert(id);
+            self.records.insert(id, Record::Done(finished));
+        }
+        while self.finished.len() > RETAINED_FINISHED {
+            let Some(id) = self.finished.pop_first() else {
+                break;
+            };
+            self.records.remove(&id);
+            self.evicted_through = self.evicted_through.max(Some(id));
+        }
+    }
+}
+
+/// [`Requests`], shared across connection threads.
+type RequestMap = Arc<Mutex<Requests>>;
 
 /// A bound (but not yet serving) daemon. Call [`Server::run`] to serve.
 #[derive(Debug)]
@@ -227,7 +386,7 @@ impl Server {
         let server = Server {
             listener,
             sim: Arc::new(sim),
-            requests: Arc::new(Mutex::new(BTreeMap::new())),
+            requests: Arc::new(Mutex::new(Requests::default())),
             max_conns: options.max_conns,
             io_timeout: options.io_timeout,
         };
@@ -251,7 +410,7 @@ impl Server {
                         self.requests
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
-                            .insert(handle.id(), handle);
+                            .insert(handle);
                         stacksim_obs::counter(harness_obs::JOURNAL_REPLAYED).add(1);
                         break;
                     }
@@ -384,7 +543,7 @@ fn handle_connection(
         ("GET", path) if path.starts_with("/v1/experiments/") => {
             let rest = &path["/v1/experiments/".len()..];
             if let Some(id_text) = rest.strip_suffix("/artifact") {
-                artifact(stream, requests, id_text);
+                artifact(stream, sim, requests, id_text);
             } else {
                 status(stream, requests, rest, &request);
             }
@@ -420,7 +579,7 @@ fn submit(stream: &mut TcpStream, sim: &Sim, requests: &RequestMap, request: &Re
     requests
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(handle.id(), handle.clone());
+        .insert(handle.clone());
     let body = Json::obj(vec![
         ("id", Json::Num(handle.id() as f64)),
         ("experiment", Json::Str(handle.name().to_string())),
@@ -496,33 +655,42 @@ fn parse_submission(body: &str) -> Result<ExperimentRequest, String> {
 /// answers `202 Accepted` with the current status — a slow experiment
 /// can never pin a connection thread indefinitely.
 fn status(stream: &mut TcpStream, requests: &RequestMap, id_text: &str, request: &Request) {
-    let Some(handle) = lookup(requests, id_text) else {
-        error_response(stream, 404, "no such request id");
+    let Some((id, record)) = lookup(stream, requests, id_text) else {
         return;
     };
     let mut timed_out = false;
-    if request.query_flag("wait") {
-        let wait_ms = request
-            .query_param("timeout_ms")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(MAX_WAIT_MS)
-            .min(MAX_WAIT_MS);
-        timed_out = handle
-            .wait_timeout(Duration::from_millis(wait_ms))
-            .is_none();
+    if let Record::Live(handle) = &record {
+        if request.query_flag("wait") {
+            let wait_ms = request
+                .query_param("timeout_ms")
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or(MAX_WAIT_MS)
+                .min(MAX_WAIT_MS);
+            timed_out = handle
+                .wait_timeout(Duration::from_millis(wait_ms))
+                .is_none();
+        }
     }
-    let (status_label, report, ok) = match handle.try_outcome() {
-        Some(outcome) => (
+    let (name, digest, status_label, report, ok) = match record.finished() {
+        Ok(finished) => (
+            finished.name.clone(),
+            finished.digest.clone(),
             RequestStatus::Done.label(),
-            outcome.report.to_json(),
-            Json::Bool(outcome.is_ok()),
+            finished.report.to_json(),
+            Json::Bool(!matches!(finished.artifact, ArtifactSource::Failed(_))),
         ),
-        None => (handle.status().label(), Json::Null, Json::Null),
+        Err(handle) => (
+            handle.name().to_string(),
+            handle.digest().to_string(),
+            handle.status().label(),
+            Json::Null,
+            Json::Null,
+        ),
     };
     let body = Json::obj(vec![
-        ("id", Json::Num(handle.id() as f64)),
-        ("experiment", Json::Str(handle.name().to_string())),
-        ("digest", Json::Str(handle.digest().to_string())),
+        ("id", Json::Num(id as f64)),
+        ("experiment", Json::Str(name)),
+        ("digest", Json::Str(digest)),
         ("status", Json::Str(status_label.to_string())),
         ("ok", ok),
         ("report", report),
@@ -533,34 +701,67 @@ fn status(stream: &mut TcpStream, requests: &RequestMap, id_text: &str, request:
 
 /// `GET /v1/experiments/<id>/artifact`: the artifact's canonical JSON
 /// encoding, byte-for-byte what the memo cache stores and the embedded
-/// API encodes — the service's bit-identity contract.
-fn artifact(stream: &mut TcpStream, requests: &RequestMap, id_text: &str) {
-    let Some(handle) = lookup(requests, id_text) else {
-        error_response(stream, 404, "no such request id");
+/// API encodes — the service's bit-identity contract. The bytes come
+/// from the memo entry, checked against the length and digest the
+/// request finished with; only a daemon without a cache encodes.
+fn artifact(stream: &mut TcpStream, sim: &Sim, requests: &RequestMap, id_text: &str) {
+    let Some((_, record)) = lookup(stream, requests, id_text) else {
         return;
     };
-    let Some(outcome) = handle.try_outcome() else {
+    let Ok(finished) = record.finished() else {
         error_response(stream, 409, "request has not finished");
         return;
     };
-    match &outcome.artifact {
-        Some(artifact) => respond(stream, 200, "application/json", &artifact.encode()),
-        None => {
-            let detail = outcome
-                .report
-                .error
-                .clone()
-                .unwrap_or_else(|| "request failed".to_string());
-            error_response(stream, 500, &detail);
+    match &finished.artifact {
+        ArtifactSource::Entry(entry) => {
+            match sim
+                .cache()
+                .entry_bytes(&finished.name, &finished.digest, *entry)
+            {
+                Ok(bytes) => respond(stream, 200, "application/json", &bytes),
+                Err(e) => {
+                    let status = if e.kind() == "cache-entry-changed" {
+                        410
+                    } else {
+                        500
+                    };
+                    typed_error(stream, status, e.kind(), &e.to_string());
+                }
+            }
         }
+        ArtifactSource::Decoded(artifact) => {
+            respond(stream, 200, "application/json", &artifact.encode());
+        }
+        ArtifactSource::Failed(detail) => error_response(stream, 500, detail),
     }
 }
 
-fn lookup(requests: &RequestMap, id_text: &str) -> Option<RequestHandle> {
-    let id: u64 = id_text.parse().ok()?;
-    requests
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&id)
-        .cloned()
+/// The record of the request `id_text` names, or `None` once a typed
+/// `404` (never handed out) or `410` (evicted) has been written.
+fn lookup(stream: &mut TcpStream, requests: &RequestMap, id_text: &str) -> Option<(u64, Record)> {
+    let found = id_text
+        .parse::<u64>()
+        .map_err(|_| Missing::Unknown)
+        .and_then(|id| {
+            requests
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(id)
+                .map(|record| (id, record))
+        });
+    match found {
+        Ok(found) => Some(found),
+        Err(Missing::Evicted(id)) => {
+            let detail = format!(
+                "request {id} finished and was evicted: the daemon keeps the last \
+                 {RETAINED_FINISHED} finished requests"
+            );
+            typed_error(stream, 410, "evicted", &detail);
+            None
+        }
+        Err(Missing::Unknown) => {
+            typed_error(stream, 404, "unknown-id", "no such request id");
+            None
+        }
+    }
 }

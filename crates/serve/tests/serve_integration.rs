@@ -79,6 +79,11 @@ fn daemon_serves_bit_identical_artifacts_and_drains_cleanly() {
     let doc = Json::parse(&body).expect("submission response is JSON");
     let id = doc.get("id").and_then(Json::as_u64).expect("id");
     assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("fig3"));
+    let digest = doc
+        .get("digest")
+        .and_then(Json::as_str)
+        .expect("digest")
+        .to_string();
 
     let (code, body) = request(
         &addr,
@@ -159,9 +164,25 @@ fn daemon_serves_bit_identical_artifacts_and_drains_cleanly() {
     assert!(hits >= 2, "embedded + second HTTP were hits, got {hits}");
     assert!(body.contains("\"serve.inflight\""), "{body}");
 
+    // the artifact is the memo entry's bytes: with the entry gone the
+    // endpoint answers a typed 410, never other bytes
+    let entry = MemoCache::at(&dir)
+        .path_for("fig3", &digest)
+        .expect("digest is hex")
+        .expect("cache is enabled");
+    std::fs::remove_file(&entry).expect("remove the entry");
+    let (code, body) = request(
+        &addr,
+        &format!("GET /v1/experiments/{id}/artifact HTTP/1.1"),
+        "",
+    );
+    assert_eq!(code, 410, "{body}");
+    assert!(body.contains("\"kind\":\"cache-entry-changed\""), "{body}");
+
     // error surfaces
-    let (code, _) = request(&addr, "GET /v1/experiments/9999 HTTP/1.1", "");
+    let (code, body) = request(&addr, "GET /v1/experiments/9999 HTTP/1.1", "");
     assert_eq!(code, 404);
+    assert!(body.contains("\"kind\":\"unknown-id\""), "{body}");
     let (code, _) = request(
         &addr,
         "POST /v1/experiments HTTP/1.1",

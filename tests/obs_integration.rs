@@ -153,3 +153,68 @@ fn cache_hit_shows_up_in_metrics() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Hits answered at admission are counted and traced as a worker's hits
+/// were: each bumps `harness.experiments` and `harness.cache_hits`,
+/// records a wall time, and closes a `harness.experiment` span with
+/// `"cached":true` — before `submit` returns.
+#[test]
+fn admission_hits_are_counted_and_traced_like_worker_hits() {
+    use stacksim::core::harness::{ExperimentRequest, RequestStatus};
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = std::env::temp_dir().join(format!("stacksim-obs-admit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let events_path = dir.join("events.jsonl");
+    let sim = Sim::builder()
+        .params(WorkloadParams::test())
+        .jobs(1)
+        .cache(MemoCache::at(dir.join("cache")))
+        .build();
+    let request = ExperimentRequest::new("fig5:svm");
+    assert!(sim.submit(&request).unwrap().wait().is_ok());
+
+    stacksim::obs::reset();
+    stacksim::obs::enable();
+    let sink = stacksim::obs::JsonlSink::create(&events_path).unwrap();
+    stacksim::obs::set_sink(Some(Arc::new(sink)));
+    let hits = [sim.submit(&request).unwrap(), sim.submit(&request).unwrap()];
+    let done = hits.iter().all(|h| h.status() == RequestStatus::Done);
+    stacksim::obs::set_sink(None);
+    let snapshot = stacksim::obs::registry().snapshot();
+    stacksim::obs::disable();
+
+    assert!(done, "both hits are done at submit");
+    let counter = |name: &str| {
+        snapshot
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    assert_eq!(counter("harness.experiments"), 2);
+    assert_eq!(counter("harness.cache_hits"), 2);
+    assert_eq!(counter("harness.cache_misses"), 0);
+    let walls = snapshot
+        .histograms
+        .iter()
+        .find(|h| h.name == "harness.experiment.wall_us")
+        .map_or(0, |h| h.count);
+    assert_eq!(walls, 2, "one wall-time sample per hit");
+
+    let events = std::fs::read_to_string(&events_path).unwrap();
+    obs_report::validate_events(&events).unwrap();
+    let cached_spans = events
+        .lines()
+        .filter(|l| {
+            l.contains("\"ev\":\"end\"")
+                && l.contains("\"name\":\"harness.experiment\"")
+                && l.contains("\"experiment\":\"fig5:svm\"")
+                && l.contains("\"cached\":true")
+        })
+        .count();
+    assert_eq!(cached_spans, 2, "{events}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

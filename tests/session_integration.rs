@@ -629,3 +629,239 @@ fn run_shares_a_request_already_in_flight() {
     assert!(handle.wait().is_ok());
     assert_eq!(counting.runs.load(SeqCst), 1, "one execution for both");
 }
+
+/// An experiment that holds its worker until the test releases it.
+struct Held {
+    entered: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl stacksim::core::harness::Experiment for Held {
+    fn name(&self) -> &str {
+        "held"
+    }
+
+    fn sensitivity(&self) -> stacksim::core::harness::ParamSensitivity {
+        stacksim::core::harness::ParamSensitivity::none()
+    }
+
+    fn params_digest(&self, _params: &WorkloadParams) -> String {
+        stacksim::core::harness::Digest::new().str("held").hex()
+    }
+
+    fn run(&self, _ctx: &stacksim::core::harness::Ctx) -> Result<Artifact, Error> {
+        let _ = self.entered.lock().unwrap().send(());
+        let _ = self.release.lock().unwrap().recv();
+        Ok(Artifact::Headline(stacksim::core::Headline {
+            mean_cpma_reduction: 2.0,
+            peak_cpma_reduction: 3.0,
+            bandwidth_reduction_factor: 3.0,
+            bus_power_saving_w: 0.5,
+            baseline_bus_power_w: 0.6,
+        }))
+    }
+}
+
+/// A registry of [`Counting`] and [`Held`], with the channel ends that
+/// see `held` start and let it finish.
+fn counting_and_held() -> (
+    Registry,
+    std::sync::Arc<Counting>,
+    std::sync::mpsc::Receiver<()>,
+    std::sync::mpsc::Sender<()>,
+) {
+    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel();
+    let counting = std::sync::Arc::new(Counting {
+        running: 0.into(),
+        peak: 0.into(),
+        runs: 0.into(),
+    });
+    let mut registry = Registry::new();
+    registry.add(counting.clone());
+    registry.add(std::sync::Arc::new(Held {
+        entered: std::sync::Mutex::new(entered_tx),
+        release: std::sync::Mutex::new(release_rx),
+    }));
+    (registry, counting, entered_rx, release_tx)
+}
+
+/// A memo hit never waits for a worker: with the only worker held by a
+/// running experiment, `submit` of a cached experiment returns a handle
+/// that is already done, cached, and carries the cached artifact and
+/// its entry.
+#[test]
+fn a_cached_request_is_done_at_submit_while_the_only_worker_is_busy() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let dir = scratch_dir("admission-hit");
+    let (registry, counting, entered, release) = counting_and_held();
+    let sim = Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .jobs(1)
+        .cache(MemoCache::at(&dir))
+        .build();
+    let first = sim
+        .submit(&ExperimentRequest::new("counting"))
+        .unwrap()
+        .wait();
+    assert!(first.is_ok() && !first.report.cached);
+
+    let held = sim.submit(&ExperimentRequest::new("held")).unwrap();
+    entered.recv().unwrap(); // the only worker is busy
+    let hit = sim.submit(&ExperimentRequest::new("counting")).unwrap();
+    let status = hit.status();
+    let outcome = hit.try_outcome();
+    release.send(()).unwrap(); // free the worker before any assertion can unwind
+
+    assert_eq!(status, RequestStatus::Done, "a hit is done at submit");
+    let outcome = outcome.expect("the outcome is there at submit");
+    assert!(outcome.report.cached);
+    assert_eq!(outcome.report.attempts, 1);
+    assert_eq!(
+        outcome.artifact.as_ref().unwrap().encode(),
+        first.artifact.as_ref().unwrap().encode()
+    );
+    assert_eq!(outcome.entry, first.entry, "the same memo entry");
+    assert!(outcome.entry.is_some());
+    assert_eq!(counting.runs.load(SeqCst), 1, "the hit ran nothing");
+    assert!(held.wait().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Admission hits are not journaled: with the workers paused, two hits
+/// and one miss are submitted, the journal holds one accepted record,
+/// and recovering it (as a restart after a crash would) replays only
+/// the miss.
+#[test]
+fn admission_hits_write_no_journal_record_and_never_replay() {
+    use stacksim::core::harness::RequestJournal;
+    let dir = scratch_dir("admission-journal");
+    let path = dir.join("journal").join("requests.jsonl");
+    let (registry, _, _, _) = counting_and_held();
+    let cached = ExperimentRequest::new("counting").seed(1);
+    Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .cache(MemoCache::at(&dir))
+        .build()
+        .submit(&cached)
+        .unwrap()
+        .wait();
+
+    let (registry, _, _, _) = counting_and_held();
+    let journal = RequestJournal::recover(&path).unwrap().journal;
+    let sim = Sim::builder()
+        .registry(registry)
+        .params(WorkloadParams::test())
+        .cache(MemoCache::at(&dir))
+        .journal(std::sync::Arc::new(journal))
+        .start_paused(true)
+        .build();
+    let hits = [sim.submit(&cached).unwrap(), sim.submit(&cached).unwrap()];
+    let miss = sim
+        .submit(&ExperimentRequest::new("counting").seed(2))
+        .unwrap();
+    assert!(hits.iter().all(|h| h.status() == RequestStatus::Done));
+    assert_ne!(
+        hits[0].id(),
+        hits[1].id(),
+        "a hit is never deduplicated onto"
+    );
+    assert_eq!(miss.status(), RequestStatus::Queued);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        text.lines().count(),
+        1,
+        "only the miss is journaled: {text}"
+    );
+
+    // a crash now leaves only the miss unfinished
+    let recovery = RequestJournal::recover(&path).unwrap();
+    let replayed: Vec<String> = recovery
+        .unfinished
+        .iter()
+        .map(|r| r.to_json().encode())
+        .collect();
+    assert_eq!(replayed, [r#"{"experiment":"counting","seed":2}"#]);
+    sim.resume();
+    assert!(miss.wait().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An experiment that reads the `counting` artifact and counts its own
+/// runs.
+struct Total {
+    runs: std::sync::atomic::AtomicUsize,
+}
+
+impl stacksim::core::harness::Experiment for Total {
+    fn name(&self) -> &str {
+        "total"
+    }
+
+    fn deps(&self) -> Vec<String> {
+        vec!["counting".to_string()]
+    }
+
+    fn sensitivity(&self) -> stacksim::core::harness::ParamSensitivity {
+        stacksim::core::harness::ParamSensitivity::none()
+    }
+
+    fn params_digest(&self, _params: &WorkloadParams) -> String {
+        stacksim::core::harness::Digest::new().str("total").hex()
+    }
+
+    fn run(&self, ctx: &stacksim::core::harness::Ctx) -> Result<Artifact, Error> {
+        self.runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(ctx.dep("counting")?.clone())
+    }
+}
+
+/// A hit whose dependency missed is not answered at admission: it waits
+/// for the dependency like any slot (so a failed dependency would fail
+/// it), then is published from the cache without running.
+#[test]
+fn a_cached_request_waits_for_a_dependency_that_missed() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let dir = scratch_dir("deferred-hit");
+    let cache = MemoCache::at(&dir);
+    let session = |paused| {
+        let (mut registry, counting, _, _) = counting_and_held();
+        let total = std::sync::Arc::new(Total { runs: 0.into() });
+        registry.add(total.clone());
+        let sim = Sim::builder()
+            .registry(registry)
+            .params(WorkloadParams::test())
+            .cache(cache.clone())
+            .start_paused(paused)
+            .build();
+        (sim, counting, total)
+    };
+    let (sim, counting, _) = session(false);
+    let first = sim.submit(&ExperimentRequest::new("total")).unwrap().wait();
+    assert!(first.is_ok() && !first.report.cached);
+    drop(sim);
+
+    // drop the dependency's entry: `total` still hits, `counting` misses
+    let digest = stacksim::core::harness::Experiment::params_digest(
+        counting.as_ref(),
+        &WorkloadParams::test(),
+    );
+    std::fs::remove_file(cache.path_for("counting", &digest).unwrap().unwrap()).unwrap();
+    let (sim, counting, total) = session(true);
+    let handle = sim.submit(&ExperimentRequest::new("total")).unwrap();
+    assert_eq!(
+        handle.status(),
+        RequestStatus::Queued,
+        "it waits for counting"
+    );
+    sim.resume();
+    let outcome = handle.wait();
+    assert!(outcome.is_ok(), "{:?}", outcome.report.error);
+    assert!(outcome.report.cached, "published from the cache");
+    assert_eq!(outcome.entry, first.entry);
+    assert_eq!(counting.runs.load(SeqCst), 1, "the dependency ran again");
+    assert_eq!(total.runs.load(SeqCst), 0, "the hit itself never ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
