@@ -53,11 +53,6 @@ const DECLARED: &[(&str, &str, &str)] = &[
         "monotonic stats counter; read only by stats(), no data guarded",
     ),
     (
-        "core/src/harness/session.rs",
-        "next_id",
-        "unique slot-id allocation; fetch_add atomicity is all that is needed",
-    ),
-    (
         "obs/src/lib.rs",
         "ENABLED",
         "fast-path gate; instruments re-check under the registry mutex",

@@ -383,7 +383,8 @@ impl MemoCache {
 
     /// Stores an artifact, creating the cache directory if needed, then
     /// enforces the size budget if one is configured. Returns the stored
-    /// entry's length and digest (`None` from a disabled cache).
+    /// entry's length and digest: `None` from a disabled cache, or when
+    /// the budget evicted the entry at once.
     ///
     /// # Errors
     ///
@@ -411,6 +412,9 @@ impl MemoCache {
         }
         if self.max_bytes.is_some() {
             self.evict_to_budget()?;
+            if !path.exists() {
+                return Ok(None);
+            }
         }
         Ok(Some(CacheEntry::of(encoded.as_bytes())))
     }
@@ -727,6 +731,16 @@ mod tests {
                 .unwrap(),
             None
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store the byte budget evicts at once reports no entry.
+    #[test]
+    fn a_store_evicted_at_once_reports_no_entry() {
+        let dir = scratch("over-budget");
+        let c = MemoCache::builder().dir(&dir).max_bytes(1).build();
+        assert_eq!(c.store("fig3", "aa", &sample()).unwrap(), None);
+        assert!(c.load("fig3", "aa").unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -26,9 +26,11 @@
 //!   memo cache once per distinct step of the request's plan. A hit
 //!   whose dependencies all hit too gets a slot that is `Done` from the
 //!   start with `cached: true`: no worker, no journal record, never in
-//!   the dedup table. A hit with a dependency that missed is queued like
-//!   any slot and published by a worker once its dependencies finish (so
-//!   a failed dependency still fails it), without computing. A corrupt
+//!   the dedup table. It is counted and traced when admission hands it
+//!   out, so a submission that dedups onto in-flight work counts none. A
+//!   hit with a dependency that missed is queued like any slot and
+//!   published by a worker once its dependencies finish (so a failed
+//!   dependency still fails it), without computing. A corrupt
 //!   entry is quarantined here, and the worker that recomputes the step
 //!   reports it. This probe is the only place the session reads the
 //!   cache; workers only compute and store.
@@ -554,8 +556,12 @@ impl Loaded {
 
 /// What the admission probe found for one planned step.
 enum Probe {
-    /// A hit whose dependencies all hit too: a slot done from the start.
-    Done(Arc<Slot>),
+    /// A hit whose dependencies all hit too, answered by a slot done from
+    /// the start. Admission makes the slot, and counts and traces the hit,
+    /// the first time it hands the step out.
+    Done(Loaded),
+    /// A [`Probe::Done`] step admission has handed out.
+    Answered(Arc<Slot>),
     /// A hit with a dependency that missed: it waits for them, then a
     /// worker publishes it.
     Hit(Loaded),
@@ -605,6 +611,7 @@ struct SchedState {
     running: usize,
     paused: bool,
     shutdown: bool,
+    next_id: u64,
 }
 
 struct Inner {
@@ -633,8 +640,6 @@ struct Inner {
     work: Condvar,
     /// Wakes `wait_idle` when a slot finishes.
     idle: Condvar,
-    /// The next slot id; admission hits draw theirs outside the lock.
-    next_id: AtomicU64,
     submitted: AtomicU64,
     dedup_hits: AtomicU64,
     completed: AtomicU64,
@@ -706,27 +711,23 @@ impl Inner {
 
     /// Probes the memo cache for every step of one planned request,
     /// dependencies first, recording each distinct step once in `probes`.
-    fn probe_plan(
-        &self,
-        request: &ExperimentRequest,
-        params: WorkloadParams,
-        steps: &[Step],
-        probes: &mut Probes,
-    ) {
+    fn probe_plan(&self, request: &ExperimentRequest, steps: &[Step], probes: &mut Probes) {
         for step in steps {
             let key = probe_key(step, request);
             if probes.contains_key(&key) {
                 continue;
             }
             let mut probe = self.probe(request, step);
-            if let Probe::Hit(loaded) = &probe {
+            if let Probe::Hit(loaded) = probe {
                 let inputs_done = step.deps.iter().all(|&d| {
                     let dep = steps.get(d).map(|dep| probe_key(dep, request));
                     matches!(dep.and_then(|k| probes.get(&k)), Some(Probe::Done(_)))
                 });
-                if inputs_done {
-                    probe = Probe::Done(self.done_slot(request, params, step, loaded));
-                }
+                probe = if inputs_done {
+                    Probe::Done(loaded)
+                } else {
+                    Probe::Hit(loaded)
+                };
             }
             probes.insert(key, probe);
         }
@@ -758,10 +759,32 @@ impl Inner {
         }
     }
 
+    /// The finished slot answering `step` when its probe is a
+    /// [`Probe::Done`] hit. The first call makes the slot and counts and
+    /// traces the hit as a worker's run is; later calls share it.
+    fn answer(
+        &self,
+        st: &mut SchedState,
+        probes: &mut Probes,
+        request: &ExperimentRequest,
+        params: WorkloadParams,
+        step: &Step,
+    ) -> Option<Arc<Slot>> {
+        let probe = probes.get_mut(&probe_key(step, request))?;
+        let slot = match probe {
+            Probe::Answered(slot) => return Some(slot.clone()),
+            Probe::Done(loaded) => self.done_slot(st, request, params, step, loaded),
+            Probe::Hit(_) | Probe::Miss { .. } => return None,
+        };
+        *probe = Probe::Answered(slot.clone());
+        Some(slot)
+    }
+
     /// The finished slot of a hit answered at admission, counted and
     /// traced as a worker's run is.
     fn done_slot(
         &self,
+        st: &mut SchedState,
         request: &ExperimentRequest,
         params: WorkloadParams,
         step: &Step,
@@ -776,7 +799,8 @@ impl Inner {
             artifact: Some(loaded.artifact.clone()),
             entry: Some(loaded.entry),
         };
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = st.next_id;
+        st.next_id += 1;
         let done = SlotState::Done(Arc::new(outcome), None);
         Arc::new(Slot::new(id, step, params, request, done))
     }
@@ -805,9 +829,16 @@ impl Inner {
             detail: format!("request '{}' planned no work", request.name),
         };
         let root = steps.last().ok_or_else(no_work)?;
-        if let Some(Probe::Done(slot)) = probes.get(&probe_key(root, request)) {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            return Ok((slot.clone(), false));
+        if let Some(Probe::Done(_) | Probe::Answered(_)) = probes.get(&probe_key(root, request)) {
+            // its dependencies all hit too; each is answered and counted,
+            // as the worker hits this replaces would have been
+            for dep in &steps[..steps.len() - 1] {
+                self.answer(st, probes, request, params, dep);
+            }
+            if let Some(slot) = self.answer(st, probes, request, params, root) {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                return Ok((slot, false));
+            }
         }
         let key = (
             request.name.clone(),
@@ -865,9 +896,8 @@ impl Inner {
     ) -> Option<Arc<Slot>> {
         let mut slots: Vec<Arc<Slot>> = Vec::with_capacity(steps.len());
         for step in steps {
-            let probe = probes.get_mut(&probe_key(step, request));
-            if let Some(Probe::Done(slot)) = &probe {
-                slots.push(slot.clone());
+            if let Some(slot) = self.answer(st, probes, request, params, step) {
+                slots.push(slot);
                 continue;
             }
             let key = (
@@ -880,12 +910,13 @@ impl Inner {
                 slots.push(slot.clone());
                 continue;
             }
-            let (hit, quarantined, error) = match probe {
+            let (hit, quarantined, error) = match probes.get_mut(&probe_key(step, request)) {
                 Some(Probe::Hit(loaded)) => (Some(loaded.clone()), false, None),
                 Some(Probe::Miss { quarantined, error }) => (None, *quarantined, error.take()),
                 _ => (None, false, None),
             };
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            let id = st.next_id;
+            st.next_id += 1;
             let slot = Arc::new(Slot {
                 deps: step
                     .deps
@@ -1400,10 +1431,10 @@ impl SimBuilder {
                 running: 0,
                 paused: self.start_paused,
                 shutdown: false,
+                next_id: 0,
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -1515,8 +1546,8 @@ impl Sim {
             .collect::<Result<Vec<_>, _>>()?;
         // the memo probe reads the disk, so it runs before the lock
         let mut probes = Probes::new();
-        for (request, (params, steps)) in requests.iter().zip(&plans) {
-            self.inner.probe_plan(request, *params, steps, &mut probes);
+        for (request, (_, steps)) in requests.iter().zip(&plans) {
+            self.inner.probe_plan(request, steps, &mut probes);
         }
         let mut st = self.inner.lock();
         let mut handles = Vec::with_capacity(requests.len());

@@ -38,11 +38,14 @@
 //! digest, so the bytes are exactly those the cache stored; an entry
 //! that is gone or changed since gets `410` with a typed error
 //! (`"kind":"cache-entry-changed"`), never other bytes. A `--no-cache`
-//! daemon has no entries, so it keeps the decoded artifact and encodes
+//! daemon has no entries, and a `--cache-max-bytes` cache evicts entries
+//! on its own stores, so those two keep the decoded artifact and encode
 //! it per request. The daemon keeps the last [`RETAINED_FINISHED`]
-//! finished requests; a status or artifact `GET` for an older one gets
-//! `410` with `"kind":"evicted"`, and an id the daemon never handed
-//! out gets `404` with `"kind":"unknown-id"`.
+//! requests to finish, evicting the one that finished first; a status
+//! or artifact `GET` for an evicted one gets `410` with
+//! `"kind":"evicted"`, and any other id the daemon holds no request for
+//! (never handed out, or a dependency's) gets `404` with
+//! `"kind":"unknown-id"`.
 //!
 //! ## Overload protection and crash recovery
 //!
@@ -76,7 +79,7 @@
 
 pub mod http;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -153,8 +156,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// Finished requests the daemon keeps; beyond this many the lowest ids
-/// are evicted.
+/// Finished requests the daemon keeps; beyond this many the one that
+/// finished first is evicted.
 pub const RETAINED_FINISHED: usize = 1024;
 
 /// Where a finished request's artifact bytes come from.
@@ -163,16 +166,16 @@ enum ArtifactSource {
     /// The memo entry with this length and digest, read back and checked
     /// per `GET`.
     Entry(CacheEntry),
-    /// No memo entry (a `--no-cache` daemon): the artifact, encoded per
-    /// `GET`.
+    /// The artifact, encoded per `GET`: a `--no-cache` daemon has no
+    /// entry, and a byte-budgeted cache may evict one at any store.
     Decoded(Arc<Artifact>),
     /// The request failed with this detail.
     Failed(String),
 }
 
 /// What the daemon keeps of a finished request. It pins no session
-/// slot, so neither the decoded artifact nor its dependencies' outlive
-/// the request.
+/// slot, so dependencies' artifacts do not outlive the request, nor does
+/// its own unless the entry cannot be trusted to stay.
 #[derive(Debug)]
 struct Finished {
     name: String,
@@ -182,10 +185,12 @@ struct Finished {
 }
 
 impl Finished {
-    fn new(handle: &RequestHandle, outcome: &RequestOutcome) -> Finished {
+    /// `from_entry`: serve the artifact from its memo entry, when there is
+    /// one, rather than keep it decoded.
+    fn new(handle: &RequestHandle, outcome: &RequestOutcome, from_entry: bool) -> Finished {
         let artifact = match (&outcome.artifact, outcome.entry) {
-            (Some(_), Some(entry)) => ArtifactSource::Entry(entry),
-            (Some(artifact), None) => ArtifactSource::Decoded(artifact.clone()),
+            (Some(_), Some(entry)) if from_entry => ArtifactSource::Entry(entry),
+            (Some(artifact), _) => ArtifactSource::Decoded(artifact.clone()),
             (None, _) => ArtifactSource::Failed(
                 outcome
                     .report
@@ -213,85 +218,106 @@ enum Record {
 }
 
 impl Record {
-    /// The finished form, or the handle of a request still running.
+    /// The finished form, or the handle of a request still running. A
+    /// handle that finished since it was looked up still pins its
+    /// artifact, so its finished form serves that.
     fn finished(&self) -> Result<Arc<Finished>, &RequestHandle> {
         match self {
             Record::Done(finished) => Ok(finished.clone()),
             Record::Live(handle) => handle
                 .try_outcome()
-                .map(|outcome| Arc::new(Finished::new(handle, &outcome)))
+                .map(|outcome| Arc::new(Finished::new(handle, &outcome, false)))
                 .ok_or(handle),
         }
     }
 }
 
-/// The requests the daemon has accepted, by id. Records of finished
-/// requests are kept up to [`RETAINED_FINISHED`], lowest id first out.
-#[derive(Debug, Default)]
+/// The requests the daemon has accepted. Finished ones are kept up to
+/// [`RETAINED_FINISHED`] and evicted in the order they finished.
+#[derive(Debug)]
 struct Requests {
-    records: BTreeMap<u64, Record>,
-    /// Ids of the [`Record::Live`] records.
-    live: BTreeSet<u64>,
-    /// Ids of the [`Record::Done`] records.
-    finished: BTreeSet<u64>,
-    /// The highest id evicted so far.
-    evicted_through: Option<u64>,
+    /// Queued or running requests, by id.
+    live: BTreeMap<u64, RequestHandle>,
+    /// Finished requests, the first to finish at the front.
+    finished: VecDeque<(u64, Arc<Finished>)>,
+    /// Evicted ids, one bit per id up to the highest.
+    evicted: Vec<u64>,
+    /// Whether finished requests serve their artifact from the memo
+    /// entry: not when the cache has a byte budget, whose stores evict
+    /// entries on their own.
+    from_entry: bool,
 }
 
 /// Why an id has no record.
 enum Missing {
-    /// The request finished and its record was evicted (or the id, below
-    /// the eviction watermark, was never handed out).
+    /// The request finished and its record was evicted.
     Evicted(u64),
-    /// Not an id this daemon handed out.
+    /// Not a request id this daemon handed out.
     Unknown,
 }
 
 impl Requests {
+    fn new(cache: &MemoCache) -> Requests {
+        Requests {
+            live: BTreeMap::new(),
+            finished: VecDeque::new(),
+            evicted: Vec::new(),
+            from_entry: cache.max_bytes().is_none(),
+        }
+    }
+
     /// Records a handle the session returned; a deduplicated submission
-    /// finds its slot's record already there.
+    /// finds its request already there.
     fn insert(&mut self, handle: RequestHandle) {
         let id = handle.id();
-        if !self.records.contains_key(&id) {
-            self.live.insert(id);
-            self.records.insert(id, Record::Live(handle));
+        if !self.finished.iter().any(|(done, _)| *done == id) {
+            self.live.entry(id).or_insert(handle);
         }
         self.settle();
     }
 
     fn get(&mut self, id: u64) -> Result<Record, Missing> {
         self.settle();
-        match self.records.get(&id) {
-            Some(record) => Ok(record.clone()),
-            None if self.evicted_through.is_some_and(|through| id <= through) => {
-                Err(Missing::Evicted(id))
-            }
-            None => Err(Missing::Unknown),
+        if let Some(handle) = self.live.get(&id) {
+            return Ok(Record::Live(handle.clone()));
+        }
+        if let Some((_, finished)) = self.finished.iter().find(|(done, _)| *done == id) {
+            return Ok(Record::Done(finished.clone()));
+        }
+        let word = self.evicted.get((id / 64) as usize).copied().unwrap_or(0);
+        if word >> (id % 64) & 1 == 1 {
+            Err(Missing::Evicted(id))
+        } else {
+            Err(Missing::Unknown)
         }
     }
 
-    /// Turns every finished live record into its [`Finished`] form,
-    /// dropping the handle, then evicts down to the retention bound.
+    /// Moves every finished live request to the back of `finished`,
+    /// dropping its handle, then evicts from the front down to the
+    /// retention bound.
     fn settle(&mut self) {
-        let done: Vec<(u64, Arc<Finished>)> = self
+        let done: Vec<(u64, Arc<RequestOutcome>)> = self
             .live
             .iter()
-            .filter_map(|id| {
-                let finished = self.records.get(id)?.finished().ok()?;
-                Some((*id, finished))
-            })
+            .filter_map(|(id, handle)| Some((*id, handle.try_outcome()?)))
             .collect();
-        for (id, finished) in done {
-            self.live.remove(&id);
-            self.finished.insert(id);
-            self.records.insert(id, Record::Done(finished));
+        for (id, outcome) in done {
+            if let Some(handle) = self.live.remove(&id) {
+                let finished = Finished::new(&handle, &outcome, self.from_entry);
+                self.finished.push_back((id, Arc::new(finished)));
+            }
         }
         while self.finished.len() > RETAINED_FINISHED {
-            let Some(id) = self.finished.pop_first() else {
+            let Some((id, _)) = self.finished.pop_front() else {
                 break;
             };
-            self.records.remove(&id);
-            self.evicted_through = self.evicted_through.max(Some(id));
+            let word = (id / 64) as usize;
+            if self.evicted.len() <= word {
+                self.evicted.resize(word + 1, 0);
+            }
+            if let Some(bits) = self.evicted.get_mut(word) {
+                *bits |= 1 << (id % 64);
+            }
         }
     }
 }
@@ -385,8 +411,8 @@ impl Server {
             .build();
         let server = Server {
             listener,
+            requests: Arc::new(Mutex::new(Requests::new(sim.cache()))),
             sim: Arc::new(sim),
-            requests: Arc::new(Mutex::new(Requests::default())),
             max_conns: options.max_conns,
             io_timeout: options.io_timeout,
         };
@@ -763,5 +789,71 @@ fn lookup(stream: &mut TcpStream, requests: &RequestMap, id_text: &str) -> Optio
             typed_error(stream, 404, "unknown-id", "no such request id");
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A request that finishes after more than [`RETAINED_FINISHED`]
+    /// others is kept, and the first of those to finish are evicted in
+    /// its place. Ids the daemon never handed out, a dependency's among
+    /// them, are unknown rather than evicted.
+    #[test]
+    fn finished_requests_are_evicted_in_finish_order() {
+        let dir = std::env::temp_dir().join(format!("stacksim-serve-evict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let build = |paused| {
+            Sim::builder()
+                .params(WorkloadParams::test())
+                .jobs(1)
+                .cache(MemoCache::at(&dir))
+                .start_paused(paused)
+                .build()
+        };
+        let warm = build(false);
+        let names = ["fig5".to_string()];
+        assert!(warm.run(&names).expect("warm the cache").errors.is_empty());
+        drop(warm);
+
+        // `headline` misses and waits for the paused worker; its `fig5`
+        // dependency hits at admission
+        let sim = build(true);
+        let mut requests = Requests::new(sim.cache());
+        let long = sim.submit(&ExperimentRequest::new("headline")).unwrap();
+        requests.insert(long.clone());
+        let hits: Vec<u64> = (0..=RETAINED_FINISHED)
+            .map(|_| {
+                let hit = sim.submit(&ExperimentRequest::new("fig5:gauss")).unwrap();
+                assert_eq!(hit.status(), RequestStatus::Done);
+                let id = hit.id();
+                requests.insert(hit);
+                id
+            })
+            .collect();
+        sim.resume();
+        let outcome = long.wait();
+        assert!(outcome.is_ok(), "{:?}", outcome.report.error);
+
+        let Ok(Record::Done(finished)) = requests.get(long.id()) else {
+            panic!("the request that finished last is kept");
+        };
+        let ArtifactSource::Entry(entry) = finished.artifact else {
+            panic!("an unbounded cache serves the entry's bytes");
+        };
+        let bytes = sim
+            .cache()
+            .entry_bytes("headline", long.digest(), entry)
+            .expect("the entry is there");
+        assert_eq!(bytes, outcome.artifact.as_ref().unwrap().encode());
+        assert!(matches!(requests.get(hits[0]), Err(Missing::Evicted(_))));
+        assert!(matches!(requests.get(hits[1]), Err(Missing::Evicted(_))));
+        assert!(matches!(requests.get(hits[2]), Ok(Record::Done(_))));
+        // `fig5`'s slot, made at admission just before `headline`'s
+        assert!(matches!(requests.get(long.id() - 1), Err(Missing::Unknown)));
+        assert!(matches!(requests.get(u64::MAX), Err(Missing::Unknown)));
+        sim.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

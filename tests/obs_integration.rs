@@ -218,3 +218,53 @@ fn admission_hits_are_counted_and_traced_like_worker_hits() {
     assert_eq!(cached_spans, 2, "{events}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Admission counts a hit only when it hands the step out: a submission
+/// that deduplicates onto an identical request in flight counts none of
+/// the dependency hits its probe found.
+#[test]
+fn a_deduplicated_submission_counts_no_hits() {
+    use stacksim::core::harness::ExperimentRequest;
+    let _guard = OBS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = std::env::temp_dir().join(format!("stacksim-obs-dedup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = |paused| {
+        Sim::builder()
+            .params(WorkloadParams::test())
+            .jobs(1)
+            .cache(MemoCache::at(&dir))
+            .start_paused(paused)
+            .build()
+    };
+    let warm = build(false);
+    assert!(warm.run(&["fig5".to_string()]).unwrap().errors.is_empty());
+    drop(warm);
+
+    // `headline` misses and waits for the paused worker; `fig5` and its
+    // twelve dependencies hit
+    let sim = build(true);
+    stacksim::obs::reset();
+    stacksim::obs::enable();
+    let request = ExperimentRequest::new("headline");
+    let first = sim.submit(&request).unwrap();
+    let second = sim.submit(&request).unwrap();
+    let snapshot = stacksim::obs::registry().snapshot();
+    stacksim::obs::disable();
+    sim.resume();
+    assert!(first.wait().is_ok());
+
+    let counter = |name: &str| {
+        snapshot
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    assert_eq!(second.id(), first.id(), "the second submission dedups");
+    assert_eq!(counter("serve.dedup_hits"), 1);
+    assert_eq!(counter("harness.cache_hits"), 13, "counted once");
+    assert_eq!(counter("harness.experiments"), 13);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,9 +1,10 @@
 //! Integration: a long-running daemon's memory stays flat. The real
 //! binary serves a few thousand test-scale cache hits from four clients
-//! that each send theirs one after another, each hit a new request id; a finished request keeps only its report and the memo
-//! entry's length and digest, and at most `RETAINED_FINISHED` finished
-//! records are kept, so the daemon's peak RSS (VmHWM) stays under a fixed
-//! bound however many requests it has answered.
+//! that each send theirs one after another, each hit a new request id.
+//! A finished request keeps only its report and the memo entry's length
+//! and digest, and at most `RETAINED_FINISHED` finished records are
+//! kept, so the daemon's peak RSS (VmHWM) stays under a fixed bound
+//! however many requests it has answered.
 
 #![cfg(target_os = "linux")]
 
