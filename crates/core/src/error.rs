@@ -111,18 +111,6 @@ pub enum Error {
         /// The configured budget in seconds.
         limit_s: f64,
     },
-    /// A per-experiment iteration budget was exceeded by a (successful)
-    /// run — a runaway guard, not a solver failure.
-    BudgetExceeded {
-        /// The experiment over budget.
-        experiment: String,
-        /// Which budget (e.g. `cg-iterations`).
-        what: &'static str,
-        /// The configured limit.
-        limit: u64,
-        /// What the run actually used.
-        used: u64,
-    },
     /// The session's admission control shed this submission: the number
     /// of queued-or-running requests already sits at the configured
     /// bound. Retryable by the *caller* (after backoff) — nothing was
@@ -214,15 +202,6 @@ impl fmt::Display for Error {
                 f,
                 "experiment '{experiment}' exceeded its {limit_s} s deadline budget"
             ),
-            Error::BudgetExceeded {
-                experiment,
-                what,
-                limit,
-                used,
-            } => write!(
-                f,
-                "experiment '{experiment}' exceeded its {what} budget: used {used} of {limit}"
-            ),
             Error::Overloaded { pending, limit } => write!(
                 f,
                 "session overloaded: {pending} requests in flight at the limit of {limit}"
@@ -298,7 +277,6 @@ impl Error {
             Error::ArtifactUnavailable { .. } => "artifact-unavailable",
             Error::ArtifactKind { .. } => "artifact-kind",
             Error::DeadlineExceeded { .. } => "deadline",
-            Error::BudgetExceeded { .. } => "budget",
             Error::Overloaded { .. } => "overloaded",
             Error::InvalidModel { .. } => "invalid-model",
             Error::Internal { .. } => "internal",

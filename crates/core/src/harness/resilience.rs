@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use stacksim_faults::{Fault, FaultPlan, FaultRule};
-use stacksim_thermal::{Preconditioner, SolverConfig};
+use stacksim_thermal::SolverConfig;
 
 use super::json::Json;
 use super::report::RunOutcome;
@@ -65,21 +65,19 @@ pub const SESSION_SITES: &[&str] = &[SITE_SESSION_JOURNAL];
 
 /// The solver degradation ladder. On `NoConvergence` the runner retries
 /// the experiment one rung further down; each rung is strictly more
-/// conservative than the last. The rung that finally succeeded is
-/// recorded in the run report (never in the artifact — artifacts stay
-/// bit-identical to an undegraded run of the same effective config).
+/// conservative than the last, and the ladder is always on. The rung that
+/// finally succeeded is recorded in the run report (never in the artifact
+/// — artifacts stay bit-identical to an undegraded run of the same
+/// effective config).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum SolverDegrade {
     /// The experiment's own configuration, untouched.
     #[default]
     AsConfigured,
-    /// Force the Jacobi preconditioner (the robust default; LineZ's
-    /// stronger coupling can stall on ill-conditioned stacks).
-    ForceJacobi,
-    /// Jacobi plus an 8× `max_iters` allowance.
+    /// An 8× `max_iters` allowance.
     RaiseIters,
-    /// Jacobi, 8× `max_iters`, and cold starts (no warm-start chaining —
-    /// rules a poisoned initial guess out entirely).
+    /// 8× `max_iters` and cold starts (no warm-start chaining — rules a
+    /// poisoned initial guess out entirely).
     ColdStart,
 }
 
@@ -88,20 +86,17 @@ impl SolverDegrade {
     #[must_use]
     pub fn next(self) -> Option<SolverDegrade> {
         match self {
-            SolverDegrade::AsConfigured => Some(SolverDegrade::ForceJacobi),
-            SolverDegrade::ForceJacobi => Some(SolverDegrade::RaiseIters),
+            SolverDegrade::AsConfigured => Some(SolverDegrade::RaiseIters),
             SolverDegrade::RaiseIters => Some(SolverDegrade::ColdStart),
             SolverDegrade::ColdStart => None,
         }
     }
 
-    /// Stable label for reports (`none` / `jacobi` / `raised-iters` /
-    /// `cold-start`).
+    /// Stable label for reports (`none` / `raised-iters` / `cold-start`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             SolverDegrade::AsConfigured => "none",
-            SolverDegrade::ForceJacobi => "jacobi",
             SolverDegrade::RaiseIters => "raised-iters",
             SolverDegrade::ColdStart => "cold-start",
         }
@@ -112,13 +107,8 @@ impl SolverDegrade {
     pub fn apply(self, mut cfg: SolverConfig) -> SolverConfig {
         match self {
             SolverDegrade::AsConfigured => {}
-            SolverDegrade::ForceJacobi => cfg.preconditioner = Preconditioner::Jacobi,
-            SolverDegrade::RaiseIters => {
-                cfg.preconditioner = Preconditioner::Jacobi;
-                cfg.max_iters = cfg.max_iters.saturating_mul(8);
-            }
+            SolverDegrade::RaiseIters => cfg.max_iters = cfg.max_iters.saturating_mul(8),
             SolverDegrade::ColdStart => {
-                cfg.preconditioner = Preconditioner::Jacobi;
                 cfg.max_iters = cfg.max_iters.saturating_mul(8);
                 cfg.warm_start = false;
             }
@@ -128,6 +118,10 @@ impl SolverDegrade {
 }
 
 /// Per-experiment resilience policy of a [`Sim`](super::Sim) session.
+///
+/// Corrupt cache entries are always quarantined (moved to
+/// `cache/quarantine/`) and recomputed, and CG non-convergence always
+/// walks the [`SolverDegrade`] ladder; these knobs bound the rest.
 #[derive(Debug, Clone)]
 pub struct Resilience {
     /// Retry budget for transient failures (I/O errors, worker panics).
@@ -138,22 +132,11 @@ pub struct Resilience {
     /// schedule, so wall time never influences *whether* something
     /// retries — only how fast.
     pub backoff_ms: u64,
-    /// Quarantine corrupt cache entries (move the file to
-    /// `cache/quarantine/`) and recompute, instead of failing the
-    /// experiment.
-    pub quarantine: bool,
-    /// Walk the [`SolverDegrade`] ladder on CG non-convergence instead
-    /// of failing the experiment on the first stall.
-    pub ladder: bool,
     /// Per-experiment wall-clock budget in seconds. Checked between
     /// attempts: once exhausted, no further retries or ladder rungs are
     /// tried and the experiment fails with
     /// [`Error::DeadlineExceeded`].
     pub deadline_s: Option<f64>,
-    /// Per-experiment CG iteration budget: a *successful* run that used
-    /// more iterations fails with [`Error::BudgetExceeded`] (a runaway
-    /// guard for sweep services).
-    pub max_cg_iters: Option<usize>,
 }
 
 impl Default for Resilience {
@@ -161,10 +144,7 @@ impl Default for Resilience {
         Resilience {
             retries: 2,
             backoff_ms: 10,
-            quarantine: true,
-            ladder: true,
             deadline_s: None,
-            max_cg_iters: None,
         }
     }
 }
@@ -464,18 +444,12 @@ mod tests {
             rung = next;
             labels.push(rung.label());
         }
-        assert_eq!(labels, ["none", "jacobi", "raised-iters", "cold-start"]);
+        assert_eq!(labels, ["none", "raised-iters", "cold-start"]);
     }
 
     #[test]
     fn ladder_apply_is_cumulative_per_rung() {
-        let base = SolverConfig::builder()
-            .preconditioner(Preconditioner::LineZ)
-            .build();
-        let cfg = SolverDegrade::ForceJacobi.apply(base);
-        assert_eq!(cfg.preconditioner, Preconditioner::Jacobi);
-        assert_eq!(cfg.max_iters, base.max_iters);
-        assert!(cfg.warm_start);
+        let base = SolverConfig::default();
         let cfg = SolverDegrade::RaiseIters.apply(base);
         assert_eq!(cfg.max_iters, base.max_iters * 8);
         assert!(cfg.warm_start);

@@ -749,12 +749,10 @@ impl Inner {
             Ok(None) => miss(false, None),
             // move the poisoned entry aside and recompute: the run heals
             // the cache instead of failing on it
-            Err(Error::CacheCorrupt { .. }) if self.resilience.quarantine => {
-                match self.cache.quarantine(name, digest) {
-                    Ok(_) => miss(true, None),
-                    Err(e) => miss(false, Some(e)),
-                }
-            }
+            Err(Error::CacheCorrupt { .. }) => match self.cache.quarantine(name, digest) {
+                Ok(_) => miss(true, None),
+                Err(e) => miss(false, Some(e)),
+            },
             Err(e) => miss(false, Some(e)),
         }
     }
@@ -1013,7 +1011,7 @@ impl Inner {
     /// The resilience loop around [`Inner::attempt_once`]: retries
     /// transient failures with deterministic exponential backoff, walks
     /// the [`SolverDegrade`] ladder on non-convergence, and enforces the
-    /// deadline and iteration budgets.
+    /// deadline.
     fn execute_attempts(
         &self,
         slot: &Slot,
@@ -1036,17 +1034,6 @@ impl Inner {
         loop {
             match self.attempt_once(slot, exp, deps, report, degrade) {
                 Ok(computed) => {
-                    if let Some(limit) = policy.max_cg_iters {
-                        let used = report.telemetry.solver.iterations as u64;
-                        if used > limit as u64 {
-                            return Err(Error::BudgetExceeded {
-                                experiment: slot.name.clone(),
-                                what: "cg-iterations",
-                                limit: limit as u64,
-                                used,
-                            });
-                        }
-                    }
                     if degrade != SolverDegrade::AsConfigured {
                         report.fallback = Some(degrade.label().to_string());
                     }
@@ -1064,7 +1051,7 @@ impl Inner {
                         }
                     }
                     match &e {
-                        Error::Solve(SolveError::NoConvergence { .. }) if policy.ladder => {
+                        Error::Solve(SolveError::NoConvergence { .. }) => {
                             let Some(next) = degrade.next() else {
                                 return Err(e);
                             };

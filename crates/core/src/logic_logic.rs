@@ -123,8 +123,8 @@ fn solve_p4_stack(
 /// Solves the three Fig. 11 configurations: planar baseline (147 W), the
 /// repaired 3D fold (125 W at ~1.3× density) and the worst case (147 W at
 /// 2× density), also returning the accumulated CG statistics of the three
-/// thermal solves. The harness threads its execution knobs (worker
-/// threads, preconditioner) through `cfg`.
+/// thermal solves. The harness threads its solver configuration (the
+/// degradation ladder's rung) through `cfg`.
 ///
 /// # Errors
 ///
@@ -200,8 +200,8 @@ pub struct Table5Row {
 /// the planar stack), exactly as the paper "simulated using the tool
 /// described in Section 2.3". Also returns the accumulated CG statistics
 /// of every thermal solve — including the ~24 solves of the Same-Temp
-/// bisection. The harness threads its execution knobs (worker threads,
-/// preconditioner) through `cfg`.
+/// bisection. The harness threads its solver configuration (the
+/// degradation ladder's rung) through `cfg`.
 ///
 /// # Errors
 ///

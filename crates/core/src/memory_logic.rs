@@ -367,8 +367,8 @@ pub fn thermal_stack_scaled(option: StackOption, grid: usize, power_factor: f64)
 
 /// Solves the Fig. 8 thermal comparison across all four options, also
 /// returning the accumulated CG statistics of the four thermal solves. The
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through `cfg`.
+/// harness threads its solver configuration (the degradation ladder's
+/// rung) through `cfg`.
 ///
 /// # Errors
 ///

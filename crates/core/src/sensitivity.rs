@@ -39,8 +39,8 @@ impl Fig3Data {
 /// microprocessor" of the figure): the far die's heat crosses both metal
 /// stacks and the bond, which is what makes the metal curve dominate.
 /// Also returns the accumulated CG statistics of every solve across both
-/// sweeps. The harness threads its execution knobs (worker threads,
-/// preconditioner) through `cfg`; `stacksim bench` uses it to time the
+/// sweeps. The harness threads its solver configuration (the degradation
+/// ladder's rung) through `cfg`; `stacksim bench` uses it to time the
 /// sweep end to end.
 ///
 /// # Errors
@@ -98,7 +98,7 @@ pub fn fig3_reference(cfg: SolverConfig) -> Result<(Fig3Data, SolveStats), Error
 /// The Fig. 3 sweep with every point solved cold (from ambient) by the
 /// *optimized* kernel, ignoring the warm-start chaining [`fig3_with`]
 /// uses. `stacksim bench` reports it as the kernel-only leg, isolating the
-/// stencil/fusion gains from the warm-start and preconditioner gains.
+/// stencil/fusion gains from the warm-start gains.
 /// Results are identical to [`fig3_with`] up to the solver tolerance.
 ///
 /// # Errors

@@ -53,4 +53,4 @@ pub use experiments::{registry_for, ThermalPointExp};
 pub use pareto::{dominates, frontier, sensitivities, AxisSensitivity, Objectives};
 pub use report::render_report;
 pub use search::{Evolver, SearchMode};
-pub use space::{BoundaryChoice, PointIdx, SpaceSpec};
+pub use space::{BoundaryChoice, PointIdx, SpaceSpec, MAX_VF_POINTS};

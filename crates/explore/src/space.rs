@@ -82,6 +82,11 @@ pub struct SpaceSpec {
 /// The default V/f sweep around nominal.
 const DEFAULT_VF: [f64; 6] = [0.85, 0.90, 0.95, 1.00, 1.05, 1.10];
 
+/// The most values a `vf` axis may hold, ramp or array. Checked before the
+/// axis is built or validated, so a request cannot make the parser
+/// allocate (or the duplicate check scan) an unbounded axis.
+pub const MAX_VF_POINTS: usize = 64;
+
 impl SpaceSpec {
     /// The built-in full space: every stack option × all twelve
     /// benchmarks × both boundaries × six V/f points — 576 designs.
@@ -117,7 +122,8 @@ impl SpaceSpec {
         }
     }
 
-    /// Checks the axes are non-empty, duplicate-free and physical.
+    /// Checks the axes are non-empty, duplicate-free, physical, and that
+    /// `vf` holds at most [`MAX_VF_POINTS`] values.
     ///
     /// # Errors
     ///
@@ -130,6 +136,7 @@ impl SpaceSpec {
         {
             return Err("every axis needs at least one value".to_string());
         }
+        vf_len_ok(self.vf.len())?;
         for (axis, dup) in [
             ("options", has_dup(&self.options)),
             ("benchmarks", has_dup(&self.benchmarks)),
@@ -156,7 +163,8 @@ impl SpaceSpec {
 
     /// Parses a JSON spec. Every axis is optional and defaults to the
     /// built-in full axis; `vf` accepts either an explicit array or a
-    /// linear ramp `{"min": .., "max": .., "steps": N}`.
+    /// linear ramp `{"min": .., "max": .., "steps": N}`, of at most
+    /// [`MAX_VF_POINTS`] values.
     ///
     /// # Errors
     ///
@@ -242,9 +250,20 @@ fn str_axis<T>(v: &Json, axis: &str, lookup: impl Fn(&str) -> Option<T>) -> Resu
         .collect()
 }
 
+/// Refuses a `vf` axis of more than [`MAX_VF_POINTS`] values.
+fn vf_len_ok(len: usize) -> Result<(), String> {
+    if len > MAX_VF_POINTS {
+        return Err(format!(
+            "the 'vf' axis holds {len} values, more than the {MAX_VF_POINTS} allowed"
+        ));
+    }
+    Ok(())
+}
+
 /// Decodes the `vf` axis: an explicit array or a `{min,max,steps}` ramp.
 fn parse_vf(v: &Json) -> Result<Vec<f64>, String> {
     if let Some(arr) = v.as_arr() {
+        vf_len_ok(arr.len())?;
         return arr
             .iter()
             .map(|x| {
@@ -259,7 +278,13 @@ fn parse_vf(v: &Json) -> Result<Vec<f64>, String> {
             .ok_or_else(|| format!("'vf' ramp needs a numeric '{k}'"))
     };
     let (min, max) = (field("min")?, field("max")?);
-    let steps = field("steps")? as usize;
+    let steps = field("steps")?;
+    if steps > MAX_VF_POINTS as f64 {
+        return Err(format!(
+            "the 'vf' ramp has {steps} steps, more than the {MAX_VF_POINTS} allowed"
+        ));
+    }
+    let steps = steps as usize;
     if steps < 2 || !(min.is_finite() && max.is_finite()) || min >= max {
         return Err("'vf' ramp needs min < max and steps >= 2".to_string());
     }
@@ -383,10 +408,34 @@ mod tests {
                 r#"{"boundaries": ["desktop", "desktop"]}"#,
                 "duplicate boundary",
             ),
+            (
+                r#"{"vf": {"min": 0.8, "max": 1.2, "steps": 1e17}}"#,
+                "oversized ramp",
+            ),
             ("{", "bad JSON"),
         ] {
             assert!(SpaceSpec::parse(spec).is_err(), "{why} must be rejected");
         }
+    }
+
+    #[test]
+    fn vf_axis_is_capped_before_it_is_built() {
+        let ramp =
+            |steps: usize| format!(r#"{{"vf": {{"min": 0.5, "max": 1.5, "steps": {steps}}}}}"#);
+        let spec = SpaceSpec::parse(&ramp(MAX_VF_POINTS)).expect("a ramp at the cap parses");
+        assert_eq!(spec.vf.len(), MAX_VF_POINTS);
+        let err = SpaceSpec::parse(&ramp(MAX_VF_POINTS + 1)).unwrap_err();
+        assert!(err.contains("more than the 64 allowed"), "{err}");
+        let array = |n: usize| {
+            let vf: Vec<String> = (1..=n).map(|i| i.to_string()).collect();
+            format!(r#"{{"vf": [{}]}}"#, vf.join(","))
+        };
+        assert!(SpaceSpec::parse(&array(MAX_VF_POINTS)).is_ok());
+        assert!(SpaceSpec::parse(&array(MAX_VF_POINTS + 1)).is_err());
+        // a spec built in code is held to the same cap
+        let mut spec = SpaceSpec::default_space();
+        spec.vf = (1..=MAX_VF_POINTS + 1).map(|i| i as f64).collect();
+        assert!(spec.validate().is_err());
     }
 
     #[test]

@@ -67,11 +67,13 @@
 //!
 //! The accept loop runs on the caller's thread ([`Server::run`]) and
 //! starts one thread per accepted connection, at most `max_conns` at a
-//! time, so a long-poll never queues another client behind it. It
-//! drains gracefully on the same loop: when the shutdown flag flips,
-//! every new connection is answered `503`, in-flight connections finish,
-//! the session completes everything already submitted, and `run`
-//! returns.
+//! time, so a long-poll never queues another client behind it. `accept`
+//! blocks, so a new connection is taken at once; a watcher thread reads
+//! the shutdown flag and, once it flips, connects once over loopback to
+//! wake the loop. It drains gracefully on the same loop: when the
+//! shutdown flag flips, every new connection is answered `503`, in-flight
+//! connections finish, the session completes everything already
+//! submitted, and `run` returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,7 +83,7 @@ pub mod http;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -346,6 +348,35 @@ impl Drop for ConnSlot {
     }
 }
 
+/// How often the shutdown watcher reads the flag while `accept` blocks.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
+
+/// Where the shutdown watcher connects to wake a blocked `accept`: the
+/// bound address, on loopback when it was bound to every interface.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Waits for `shutdown` to flip while the accept loop blocks in
+/// `accept`, then connects once to `wake` so the loop sees the flag.
+/// Returns when `done` says the loop has ended, or after the wake-up.
+fn wake_on_shutdown(shutdown: &AtomicBool, done: &AtomicBool, wake: SocketAddr) {
+    while !done.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst)
+            && TcpStream::connect_timeout(&wake, SHUTDOWN_POLL).is_ok()
+        {
+            return;
+        }
+        std::thread::sleep(SHUTDOWN_POLL);
+    }
+}
+
 /// Longest the accept loop spends draining one rejected connection.
 const REJECT_DRAIN: Duration = Duration::from_millis(250);
 
@@ -390,7 +421,6 @@ impl Server {
             ));
         }
         let listener = TcpListener::bind(&options.addr)?;
-        listener.set_nonblocking(true)?;
         stacksim_obs::enable();
         stacksim_obs::gauge(harness_obs::SERVE_DRAINING).set(0.0);
         let (journal, unfinished) = match &options.journal {
@@ -476,34 +506,43 @@ impl Server {
     /// [`std::io::Error`] on a non-transient accept failure.
     pub fn run(self, shutdown: &AtomicBool) -> std::io::Result<()> {
         let live = Arc::new(AtomicUsize::new(0));
-        stacksim_faults::scope(self.sim.faults(), || -> std::io::Result<()> {
-            while !shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((mut stream, _)) => {
-                        // the connection never happened, as far as the
-                        // client can tell: dropped without a response
-                        if let Some(Fault::IoTransient | Fault::Truncate) =
-                            stacksim_faults::check(SITE_SERVE_ACCEPT, "conn")
-                        {
-                            continue;
+        let done = AtomicBool::new(false);
+        let wake = wake_addr(self.listener.local_addr()?);
+        std::thread::scope(|s| {
+            s.spawn(|| wake_on_shutdown(shutdown, &done, wake));
+            let served = stacksim_faults::scope(self.sim.faults(), || -> std::io::Result<()> {
+                while !shutdown.load(Ordering::SeqCst) {
+                    match self.listener.accept() {
+                        // the watcher's wake-up, or a client that came
+                        // after the flag flipped: the drain answers both
+                        Ok((mut stream, _)) if shutdown.load(Ordering::SeqCst) => {
+                            reject_conn(&mut stream, 503, "server is draining");
                         }
-                        if live.load(Ordering::SeqCst) >= self.max_conns {
-                            stacksim_obs::counter(harness_obs::SERVE_CONNS_REJECTED).add(1);
-                            reject_conn(&mut stream, 429, "too many connections");
-                            continue;
+                        Ok((mut stream, _)) => {
+                            // the connection never happened, as far as the
+                            // client can tell: dropped without a response
+                            if let Some(Fault::IoTransient | Fault::Truncate) =
+                                stacksim_faults::check(SITE_SERVE_ACCEPT, "conn")
+                            {
+                                continue;
+                            }
+                            if live.load(Ordering::SeqCst) >= self.max_conns {
+                                stacksim_obs::counter(harness_obs::SERVE_CONNS_REJECTED).add(1);
+                                reject_conn(&mut stream, 429, "too many connections");
+                                continue;
+                            }
+                            live.fetch_add(1, Ordering::SeqCst);
+                            self.spawn_connection(stream, ConnSlot(live.clone()));
                         }
-                        live.fetch_add(1, Ordering::SeqCst);
-                        self.spawn_connection(stream, ConnSlot(live.clone()));
+                        // a signal interrupting accept re-checks the flag
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    // a signal interrupting accept re-checks the flag
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
                 }
-            }
-            Ok(())
+                Ok(())
+            });
+            done.store(true, Ordering::SeqCst);
+            served
         })?;
 
         // graceful drain: late clients get an immediate `503 +
@@ -511,6 +550,7 @@ impl Server {
         // finish (so every submission they make is counted) and the
         // session has run everything submitted
         stacksim_obs::gauge(harness_obs::SERVE_DRAINING).set(1.0);
+        self.listener.set_nonblocking(true)?;
         while live.load(Ordering::SeqCst) > 0 || self.sim.stats().inflight > 0 {
             match self.listener.accept() {
                 Ok((mut stream, _)) => reject_conn(&mut stream, 503, "server is draining"),

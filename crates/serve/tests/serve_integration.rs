@@ -1,7 +1,8 @@
 //! Integration: the daemon end-to-end over real sockets — liveness,
 //! submit/status/artifact, the bit-identity contract between the direct,
 //! embedded and HTTP paths, warm-cache serving with visible counters,
-//! and a clean drain when the shutdown flag flips.
+//! refusal of an oversized explore spec, and a clean drain when the
+//! shutdown flag flips.
 //!
 //! One test function on purpose: the metrics registry is process-global,
 //! so concurrent tests would race its counters.
@@ -193,6 +194,21 @@ fn daemon_serves_bit_identical_artifacts_and_drains_cleanly() {
     assert_eq!(code, 404);
     let (code, _) = request(&addr, "DELETE /healthz HTTP/1.1", "");
     assert_eq!(code, 405);
+
+    // an explore `vf` ramp far past the axis cap is refused before it is
+    // built (at `steps: 1e17` the allocation once aborted the daemon),
+    // and the daemon keeps serving
+    for steps in ["1e17", "20000"] {
+        let (code, body) = request(
+            &addr,
+            "POST /v1/explore HTTP/1.1",
+            &format!(r#"{{"spec":{{"vf":{{"min":0.8,"max":1.2,"steps":{steps}}}}}}}"#),
+        );
+        assert_eq!(code, 400, "{body}");
+        assert!(body.contains("'vf' ramp"), "{body}");
+    }
+    let (code, _) = request(&addr, "GET /healthz HTTP/1.1", "");
+    assert_eq!(code, 200);
 
     // clean drain: flip the flag, the accept loop exits, workers join,
     // and the session shuts down without error

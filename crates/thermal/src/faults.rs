@@ -8,8 +8,8 @@
 /// Component tag of every fault site the solver owns.
 pub const COMPONENT: &str = "thermal";
 
-/// The CG solve entry: keyed by the preconditioner label (`jacobi` /
-/// `line-z`), supports `no-convergence` and `stall`.
+/// The CG solve entry: keyed `jacobi` (the solver's one preconditioner),
+/// supports `no-convergence` and `stall`.
 pub const SITE_CG: &str = "thermal.cg";
 
 /// Every fault site the solver may check.

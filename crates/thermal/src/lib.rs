@@ -47,7 +47,7 @@ pub use field::TemperatureField;
 pub use resistor::ResistorStack;
 pub use solver::reference;
 pub use solver::{
-    solve_with_stats, Preconditioner, Solution, SolveError, SolveStats, SolverConfig,
-    SolverConfigBuilder, SolverConfigError, System,
+    solve_with_stats, Solution, SolveError, SolveStats, SolverConfig, SolverConfigBuilder,
+    SolverConfigError, System,
 };
 pub use stack::{Boundary, Layer, LayerStack, DESKTOP_H_TOP};

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! stacksim list
-//! stacksim run --all [--jobs N] [--serial] [--no-cache] [--cache-dir D]
+//! stacksim run --all [--jobs N] [--no-cache] [--cache-dir D]
 //!              [--test-scale] [--report FILE] [--show]
 //!              [--metrics-out FILE] [--events FILE]
 //!              [--fault-plan FILE] [--keep-going] [--failures FILE]
@@ -71,7 +71,6 @@ fn usage() -> ExitCode {
          run options:\n\
          \x20 --all              run every registered experiment\n\
          \x20 --jobs N           executor worker threads (default: all CPUs)\n\
-         \x20 --serial           one worker thread (same results, bit-identical)\n\
          \x20 --no-cache         neither read nor write the memo cache\n\
          \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
          \x20 --test-scale       small traces for a fast smoke run\n\
@@ -269,7 +268,6 @@ fn parse_run_args(args: &[String]) -> Option<RunArgs> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--all" => out.all = true,
-            "--serial" => out.jobs = 1,
             "--no-cache" => out.no_cache = true,
             "--test-scale" => out.test_scale = true,
             "--show" => out.show = true,

@@ -18,7 +18,7 @@ fn spawn_run(cache: &PathBuf, names: &[&str]) -> Child {
     cmd.arg("run")
         .args(names)
         .arg("--test-scale")
-        .arg("--serial")
+        .args(["--jobs", "1"])
         .arg("--cache-dir")
         .arg(cache)
         .stdout(std::process::Stdio::null())
@@ -69,7 +69,7 @@ fn two_processes_share_a_cache_dir_without_corruption() {
         std::process::id()
     ));
     let report = Command::new(env!("CARGO_BIN_EXE_stacksim"))
-        .args(["run", "fig5", "fig3", "--test-scale", "--serial"])
+        .args(["run", "fig5", "fig3", "--test-scale", "--jobs", "1"])
         .arg("--cache-dir")
         .arg(&cache)
         .arg("--report")

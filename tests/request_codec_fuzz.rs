@@ -13,6 +13,9 @@ use stacksim::core::harness::json::Json;
 use stacksim::core::harness::ExperimentRequest;
 use stacksim_rng::StdRng;
 
+mod fuzz;
+use fuzz::mutate;
+
 const CASES: usize = 20_000;
 
 /// Valid bodies covering every field, as clients and the journal write
@@ -28,32 +31,6 @@ const CORPUS: &[&str] = &[
     r#"{ "experiment" : "fig5:sMVM" , "threads" : 2 , "extra" : [1, {"a": null}] }"#,
     r#"{"experiment":"fig3","seed":1e3,"chunk":0}"#,
 ];
-
-/// Bytes likely to change how the parser reads a body.
-const INTERESTING: &[u8] = b"{}[]\":,\\-+.eE0123456789 tfnul\x00\xff";
-
-fn mutate(rng: &mut StdRng, input: &[u8]) -> Vec<u8> {
-    let mut bytes = input.to_vec();
-    for _ in 0..rng.gen_range(1usize..5) {
-        let at = rng.gen_range(0..bytes.len() + 1);
-        match rng.gen_range(0u32..4) {
-            0 if at < bytes.len() => bytes[at] ^= 1 << rng.gen_range(0u32..8),
-            1 => {
-                let byte = if rng.gen_bool(0.5) {
-                    INTERESTING[rng.gen_range(0..INTERESTING.len())]
-                } else {
-                    rng.gen_range(0u8..=255)
-                };
-                bytes.insert(at, byte);
-            }
-            2 if at < bytes.len() => {
-                bytes.remove(at);
-            }
-            _ => bytes.truncate(at),
-        }
-    }
-    bytes
-}
 
 /// Decodes one body; `Ok(None)` when it is refused, `Err` with the
 /// broken invariant otherwise.
